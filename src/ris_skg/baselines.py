@@ -13,16 +13,6 @@ from . import problem_lift as pl
 from .bsum import optimize_design, statistical_design
 
 
-def eigen_combiner(corr):
-    """Full-power combiner along the dominant base-station eigenvector."""
-    vals, vecs = np.linalg.eigh(corr.bs_corr)
-    return np.sqrt(corr.power_alice) * vecs[:, -1].astype(complex)
-
-
-def equal_phase_reflect(corr):
-    return np.ones(corr.n_ris, dtype=complex)
-
-
 def random_combiner(corr, rng):
     """Isotropic random combiner direction at exactly full power."""
     w = rng.standard_normal(corr.n_bs) + 1j * rng.standard_normal(corr.n_bs)
@@ -108,16 +98,16 @@ def _design_statistical(corr, rng, **kw):
 def _design_iid_ris(corr, rng, **kw):
     """Designer who models the surface as uncorrelated: phases carry no
     information for them, so random phases with the informed combiner."""
-    return eigen_combiner(corr), random_phases(corr, rng), \
-        {"iterations": 0, "converged": True}
+    w, _ = statistical_design(corr)
+    return w, random_phases(corr, rng), {"iterations": 0, "converged": True}
 
 
 def _design_iid_bs(corr, rng, **kw):
     """Designer who models the base-station array as uncorrelated: random
     full-power combiner, reflection phases still optimized."""
     w = random_combiner(corr, rng)
-    _, v, res = optimize_design(corr, blocks="v",
-                                init=(w, equal_phase_reflect(corr)), **kw)
+    _, v0 = statistical_design(corr)
+    _, v, res = optimize_design(corr, blocks="v", init=(w, v0), **kw)
     return w, v, {"iterations": res.iterations, "converged": res.converged}
 
 
@@ -127,7 +117,8 @@ def _design_random(corr, rng, **kw):
 
 
 def _design_no_ris(corr, rng, **kw):
-    return eigen_combiner(corr), np.zeros(corr.n_ris, dtype=complex), \
+    w, _ = statistical_design(corr)
+    return w, np.zeros(corr.n_ris, dtype=complex), \
         {"iterations": 0, "converged": True}
 
 

@@ -83,6 +83,11 @@ class ScenarioConfig:
         return int(self.ris_shape[0] * self.ris_shape[1])
 
     def validate(self):
+        for f in fields(self):
+            if f.name != "methods" and not np.isfinite(getattr(self, f.name)).all():
+                raise ConfigError(f"{f.name} must be finite")
+        if not self.methods:
+            raise ConfigError("methods must name at least one design")
         if min(self.bs_shape) < 1 or min(self.ris_shape) < 1:
             raise ConfigError("array shapes must have positive element counts")
         if not 0.0 <= self.bs_corr < 1.0:

@@ -21,7 +21,6 @@ _HELP = {
     "kgr_vs_m": "key rate versus number of base-station antennas",
     "kgr_vs_eve_radius": "key rate versus eavesdropper placement radius",
     "bdr_vs_power": "bit disagreement rate and randomness checks vs power",
-    "timing": "design wall-clock time versus surface size",
 }
 
 

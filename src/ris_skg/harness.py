@@ -23,8 +23,8 @@ from scipy.special import erfc
 from . import __version__
 from .baselines import DESIGN_METHODS
 from .bsum import optimize_design
-from .channel_model import (ConfigError, ScenarioConfig, build_correlations,
-                            config_hash, dbm_to_watts, simulate_probing)
+from .channel_model import (ConfigError, build_correlations, config_hash,
+                            dbm_to_watts, parse_config_text, simulate_probing)
 from .kgr_core import kgr_from_summary, min_kgr_bits
 
 RESULTS_SCHEMA = 1
@@ -67,12 +67,7 @@ def build_config(preset="paper", config_text=None, trials=None, seed=None):
     overrides."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}")
-    from .channel_model import parse_config_values
-
-    values = dict(PRESETS[preset])
-    if config_text is not None:
-        values.update(parse_config_values(config_text))
-    cfg = ScenarioConfig(**values).validate()
+    cfg = parse_config_text(config_text or "", base=PRESETS[preset])
     overrides = {}
     if trials is not None:
         overrides["trials"] = trials
@@ -214,7 +209,7 @@ def _sweep_configs(cfg, experiment):
         for p_dbm in cfg.sweep_power_dbm:
             p_w = float(dbm_to_watts(p_dbm))
             yield p_dbm, replace(cfg, power_alice_w=p_w, power_bob_w=p_w)
-    elif experiment in ("kgr_vs_n", "timing"):
+    elif experiment == "kgr_vs_n":
         _needs(cfg, "sweep_ris_shapes", experiment)
         for shape in cfg.sweep_ris_shapes:
             yield shape[0] * shape[1], replace(cfg, ris_shape=tuple(shape))
@@ -230,9 +225,23 @@ def _sweep_configs(cfg, experiment):
         raise ValueError(f"no sweep defined for experiment {experiment!r}")
 
 
-def _run_design_sweep(cfg, experiment):
+def _probe_record(corr, w, v, seeds, rounds):
+    """Simulate the full probing exchange and return the bit disagreement
+    rate between the legitimate sequences plus randomness p-values and
+    length of the user's bits."""
+    obs_a, obs_b, _ = simulate_probing(
+        corr, w, v, np.random.default_rng(seeds + [1]), rounds)
+    bits_a = quantize_median_bits(np.abs(obs_a))
+    bits_b = quantize_median_bits(np.abs(obs_b))
+    return (bit_disagreement(bits_a, bits_b), frequency_test(bits_b),
+            runs_test(bits_b), bits_b.size)
+
+
+def _run_sweep(cfg, experiment):
     """Common driver: per sweep value, trial, and method, build the
-    scenario, run the design, and record its worst-case key rate."""
+    scenario, run the design, and record what the experiment measures of
+    it (key rate, or probing bit statistics for ``bdr_vs_power``).  A
+    timing row covers the design and its record."""
     _check_methods(cfg)
     rows, timings = [], []
     for si, (sval, sub) in enumerate(_sweep_configs(cfg, experiment)):
@@ -240,14 +249,19 @@ def _run_design_sweep(cfg, experiment):
             corr = build_correlations(
                 sub, np.random.default_rng([sub.seed, trial]))
             for mi, method in enumerate(sub.methods):
-                rng = np.random.default_rng([sub.seed, trial, si, mi])
+                seeds = [sub.seed, trial, si, mi]
                 t0 = time.perf_counter()
                 w, v, info = DESIGN_METHODS[method](
-                    corr, rng, **_solver_kwargs(sub))
+                    corr, np.random.default_rng(seeds), **_solver_kwargs(sub))
+                if experiment == "bdr_vs_power":
+                    record = _probe_record(corr, w, v, seeds,
+                                           sub.probe_rounds)
+                else:
+                    record = (min_kgr_bits(corr, w, v),
+                              info.get("iterations", 0))
                 ms = (time.perf_counter() - t0) * 1e3
-                rows.append((experiment, sval, trial, method,
-                             min_kgr_bits(corr, w, v),
-                             info.get("iterations", 0), sub.seed))
+                rows.append((experiment, sval, trial, method, *record,
+                             sub.seed))
                 timings.append((experiment, sval, trial, method, ms))
     return rows, timings
 
@@ -272,39 +286,8 @@ def _run_convergence(cfg):
     return rows, timings
 
 
-def _run_bdr(cfg):
-    """Probing-and-quantization experiment: per power level, simulate the
-    full probing exchange and record the bit disagreement rate between the
-    legitimate sequences plus randomness p-values of the user's bits."""
-    _check_methods(cfg)
-    rows, timings = [], []
-    for si, (p_dbm, sub) in enumerate(_sweep_configs(cfg, "bdr_vs_power")):
-        for trial in range(sub.trials):
-            corr = build_correlations(
-                sub, np.random.default_rng([sub.seed, trial]))
-            for mi, method in enumerate(sub.methods):
-                rng = np.random.default_rng([sub.seed, trial, si, mi])
-                t0 = time.perf_counter()
-                w, v, _ = DESIGN_METHODS[method](
-                    corr, rng, **_solver_kwargs(sub))
-                probe_rng = np.random.default_rng(
-                    [sub.seed, trial, si, mi, 1])
-                obs_a, obs_b, _ = simulate_probing(
-                    corr, w, v, probe_rng, sub.probe_rounds)
-                bits_a = quantize_median_bits(
-                    np.abs(obs_a) / np.sqrt(sub.power_bob_w))
-                bits_b = quantize_median_bits(np.abs(obs_b))
-                ms = (time.perf_counter() - t0) * 1e3
-                rows.append(("bdr_vs_power", p_dbm, trial, method,
-                             bit_disagreement(bits_a, bits_b),
-                             frequency_test(bits_b), runs_test(bits_b),
-                             bits_b.size, sub.seed))
-                timings.append(("bdr_vs_power", p_dbm, trial, method, ms))
-    return rows, timings
-
-
 EXPERIMENTS = ("convergence", "kgr_vs_power", "kgr_vs_n", "kgr_vs_m",
-               "kgr_vs_eve_radius", "bdr_vs_power", "timing")
+               "kgr_vs_eve_radius", "bdr_vs_power")
 
 
 def run_experiment(experiment, cfg, out_dir):
@@ -318,19 +301,16 @@ def run_experiment(experiment, cfg, out_dir):
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
 
-    if experiment == "bdr_vs_power":
-        rows, timings = _run_bdr(cfg)
-        results_path = os.path.join(out_dir, "bdr.csv")
-        _write_csv(results_path, BDR_COLUMNS, rows, "bdr", BDR_SCHEMA,
-                   experiment)
+    if experiment == "convergence":
+        rows, timings = _run_convergence(cfg)
     else:
-        if experiment == "convergence":
-            rows, timings = _run_convergence(cfg)
-        else:
-            rows, timings = _run_design_sweep(cfg, experiment)
-        results_path = os.path.join(out_dir, "results.csv")
-        _write_csv(results_path, RESULT_COLUMNS, rows, "results",
-                   RESULTS_SCHEMA, experiment)
+        rows, timings = _run_sweep(cfg, experiment)
+    if experiment == "bdr_vs_power":
+        name, columns, schema = "bdr", BDR_COLUMNS, BDR_SCHEMA
+    else:
+        name, columns, schema = "results", RESULT_COLUMNS, RESULTS_SCHEMA
+    results_path = os.path.join(out_dir, f"{name}.csv")
+    _write_csv(results_path, columns, rows, name, schema, experiment)
 
     timings_path = os.path.join(out_dir, "timings.csv")
     _write_csv(timings_path, TIMING_COLUMNS, timings, "timings",

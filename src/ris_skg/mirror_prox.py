@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problem_lift import project_ball, project_discs
+
 _ENTROPY_FLOOR = 1e-300
 _DIVERGENCE_LOOKBACK = 100
 
@@ -95,18 +97,9 @@ def min_minorant(sp, x):
 
 
 def project_domain(sp, x):
-    x = np.asarray(x, dtype=float)
     if sp.domain == "discs":
-        n = x.shape[0] // 2
-        mag = np.hypot(x[:n], x[n:])
-        scale = np.where(mag > 1.0, 1.0 / np.where(mag > 0, mag, 1.0), 1.0)
-        out = x.copy()
-        out[:n] *= scale
-        out[n:] *= scale
-        return out
-    nrm = np.linalg.norm(x)
-    r = np.sqrt(sp.power)
-    return x if nrm <= r else x * (r / nrm)
+        return project_discs(x)
+    return project_ball(x, sp.power)
 
 
 def project_simplex(y):
@@ -148,15 +141,13 @@ def _prox_step(sp, x, y, gx, gy, alpha):
 @dataclass
 class MirrorProxResult:
     x: np.ndarray        # best candidate by worst-minorant value
-    x_avg: np.ndarray    # ergodic average of the leading iterates
-    x_last: np.ndarray
     y: np.ndarray
     iterations: int
     converged: bool
     value: float         # min_k s_k at x
 
 
-def mirror_prox_solve(sp, x0, y0=None, tol=1e-6, max_iters=2000):
+def mirror_prox_solve(sp, x0, tol=1e-6, max_iters=2000):
     """Run mirror-prox from the feasible warm start x0.
 
     The returned ``x`` is whichever of {ergodic average, last iterate,
@@ -166,8 +157,7 @@ def mirror_prox_solve(sp, x0, y0=None, tol=1e-6, max_iters=2000):
     while staying above an absolute floor.
     """
     x = project_domain(sp, np.asarray(x0, dtype=float))
-    y = (np.full(sp.n_funcs, 1.0 / sp.n_funcs) if y0 is None
-         else project_simplex(y0))
+    y = np.full(sp.n_funcs, 1.0 / sp.n_funcs)
     alpha = 1.0 / (2.0 * lipschitz_bound(sp))
 
     x_sum = np.zeros_like(x)
@@ -202,8 +192,6 @@ def mirror_prox_solve(sp, x0, y0=None, tol=1e-6, max_iters=2000):
     best = int(np.argmax(vals))
     return MirrorProxResult(
         x=candidates[best].copy(),
-        x_avg=x_avg,
-        x_last=x.copy(),
         y=project_simplex(y_sum / max(it, 1)),
         iterations=it,
         converged=converged,

@@ -5,6 +5,7 @@ import pytest
 
 from ris_skg import baselines as bl
 from ris_skg import problem_lift as pl
+from ris_skg.bsum import statistical_design
 from ris_skg.kgr_core import min_kgr_bits
 
 import oracles
@@ -13,7 +14,7 @@ import oracles
 def test_eigen_combiner_alignment_and_power():
     rng = np.random.default_rng(0)
     corr = oracles.random_corr(rng)
-    w = bl.eigen_combiner(corr)
+    w, _ = statistical_design(corr)
     assert np.vdot(w, w).real == pytest.approx(corr.power_alice)
     vals, vecs = np.linalg.eigh(corr.bs_corr)
     assert abs(np.vdot(vecs[:, -1], w)) == pytest.approx(np.linalg.norm(w))
@@ -31,7 +32,7 @@ def test_random_designs_hit_their_constraints():
     assert np.vdot(w, w).real == pytest.approx(corr.power_alice)
     v = bl.random_phases(corr, rng)
     assert np.allclose(np.abs(v), 1.0)
-    assert np.allclose(bl.equal_phase_reflect(corr), 1.0)
+    assert np.allclose(statistical_design(corr)[1], 1.0)
     # seeded draws are reproducible
     w2 = bl.random_combiner(corr, np.random.default_rng(1))
     v2 = bl.random_phases(corr, np.random.default_rng(1))
@@ -59,7 +60,7 @@ def test_grid_search_is_exhaustive_on_tiny_surfaces():
     rng = np.random.default_rng(3)
     corr = oracles.random_corr(rng, n_ris=2, n_eve=2)
     prob = pl.build_lifted(corr)
-    wt = pl.lift_combiner(bl.eigen_combiner(corr))
+    wt = pl.lift_combiner(statistical_design(corr)[0])
     n_grid = 16
     vt_best, val_best = bl.grid_search_phases(prob, wt, n_grid=n_grid)
     # re-enumerate the same grid by hand
@@ -79,7 +80,7 @@ def test_grid_search_common_phase_invariance():
     rng = np.random.default_rng(4)
     corr = oracles.random_corr(rng, n_ris=3, n_eve=2)
     prob = pl.build_lifted(corr)
-    wt = pl.lift_combiner(bl.eigen_combiner(corr))
+    wt = pl.lift_combiner(statistical_design(corr)[0])
     v = oracles.random_reflect(rng, corr, unit_modulus=True)
     base = pl.min_objective(prob, pl.lift_vector(v), wt)
     for phi in (0.4, 1.3, 2.9):
@@ -92,7 +93,7 @@ def test_solver_refines_grid_maximizer():
     rng = np.random.default_rng(5)
     corr = oracles.random_corr(rng, n_ris=2, n_eve=2)
     prob = pl.build_lifted(corr)
-    w = bl.eigen_combiner(corr)
+    w, _ = statistical_design(corr)
     wt = pl.lift_combiner(w)
     vt_grid, grid_val = bl.grid_search_phases(prob, wt, n_grid=64)
     from ris_skg.bsum import bsum_solve

@@ -230,9 +230,19 @@ def test_cli_runs_experiment(tmp_path, capsys):
     assert (tmp_path / "run" / "manifest.json").exists()
 
 
-def test_cli_rejects_bad_config(tmp_path, capsys):
+@pytest.mark.parametrize("line", [
+    "bs_corr = 1.5",
+    "power_alice_dbm = nan",
+    "eve_radius_m = nan",
+    "noise_dbm = inf",
+    "wavelength_m = inf",
+    "bob_pos = nan, 0, 0",
+    "sweep_power_dbm = nan",
+    "methods =",
+])
+def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("bs_corr = 1.5\n")
+    bad.write_text(line + "\n")
     rc = cli.main(["kgr_vs_power", "--config", str(bad),
                    "--out", str(tmp_path / "run")])
     assert rc == 2
