@@ -1,7 +1,10 @@
 #!/bin/sh
 # Full-averaging reproduction: 1000 trials per sweep point at the largest
-# array sizes.  This is an overnight job; run the desk suite first to check
-# the setup.  Artifacts land under runs/paper/<experiment>/.
+# array sizes.  Estimated at 0.1 h on a 2-core box with one BLAS thread
+# (0.06 h of design experiments, 0.04 h of bdr_vs_power; see the estimates
+# printed by perfbench/run.py --workload paper_design_sweep and
+# --workload paper_probing).  Run the desk suite first to check the setup.
+# Artifacts land under runs/paper/<experiment>/.
 set -e
 
 out="${1:-runs/paper}"

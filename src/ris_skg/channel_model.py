@@ -413,8 +413,11 @@ def build_correlations(config, rng):
 
 
 def _cn(rng, *shape):
-    """I.i.d. unit-variance circular complex Gaussians."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """I.i.d. unit-variance circular complex Gaussians, drawn entry by entry
+    in row-major order, so splitting the leading axis over several calls
+    yields the same values."""
+    return (rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+            / np.sqrt(2.0))
 
 
 @dataclass
@@ -457,54 +460,79 @@ def sample_channels(corr, rng):
     return ChannelRealization(g_ar, h_rb, h_ab, h_re, h_ae)
 
 
-def simulate_probing(corr, w, v, rng, rounds, chunk=65536):
+def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
     """Simulate probing rounds and return the three observation sequences.
 
     Per round the channel and the noises are drawn fresh.  Returns
     (alice, bob, eve) with shapes (rounds,), (rounds,), (rounds, K):
     Alice's combined uplink estimate, Bob's downlink estimate, and Eve's
-    downlink estimates.
-    """
-    w = np.asarray(w, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    m, n, k = corr.n_bs, corr.n_ris, corr.n_eve
-    sig = np.sqrt(corr.noise_power)
-    out_a = np.empty(rounds, dtype=complex)
-    out_b = np.empty(rounds, dtype=complex)
-    out_e = np.empty((rounds, k), dtype=complex)
+    downlink estimates.  With ``eve=False`` Eve is not drawn and the third
+    value is None; Alice's and Bob's sequences are the same either way.
 
+    Each round draws only the sufficient statistics of its observations;
+    the joint law is that of full channel draws (``sample_channels``),
+    by the unitary invariance of i.i.d. CN(0, 1) entries:
+
+    * Cascade.  With G = sqrt(beta_ar) R_bs^1/2 H R_ris^1/2, the row
+      w^T G equals sqrt(beta_ar) ||R_bs^1/2T w|| z^T R_ris^1/2 in law,
+      z ~ CN(0, I_N).  Bob's reciprocal term w^T G diag(v) h_rb is then
+      sqrt(beta_rb) u^T x_b and Eve's w^T G diag(v) h_re,k is
+      sqrt(beta_re,k) u^T x_k, with u = sqrt(beta_ar) ||R_bs^1/2T w|| L^T z,
+      L = R_ris^1/2 diag(v) R_ris^1/2T, and x_b, x_k the normalized
+      surface channels.  Given u, u^T x_b = ||u|| s_b and
+      u^T x_k = ||u|| (rho_k s_b + sqrt(1 - rho_k^2) s_k) with s_b, s_k
+      independent CN(0, 1) scalars.
+    * ||u||^2 = beta_ar ||R_bs^1/2T w||^2 sum_i lambda_i E_i with lambda
+      the eigenvalues of L^H L (computed once per call) and E_i ~ Exp(1):
+      N real draws per round instead of an M x N complex matrix.
+    * Direct path h_ab^T w = sqrt(beta_ab) ||R_bs^1/2 w|| d, d ~ CN(0, 1);
+      Eve's is sqrt(beta_ae,k) ||R_bs^1/2 w|| (rho_k d + sqrt(1 - rho_k^2)
+      d_k).  Alice's combined uplink noise is sigma ||w|| times one
+      CN(0, 1) scalar, Bob's one more.
+    * Eve.  Given ||u||, antenna k's fresh terms s_k, d_k and its noise
+      sum to one CN scalar of variance (1 - rho_k^2) (beta_re,k ||u||^2
+      + beta_ae,k ||R_bs^1/2 w||^2) + sigma^2: one draw per antenna and
+      round.
+
+    The exponentials, the legitimate scalars and Eve's scalars come from
+    three streams spawned from ``rng``, each drawn round by round, so the
+    output does not depend on ``chunk`` (which bounds memory at
+    chunk x N reals) nor on ``eve``.
+    """
     if not corr.scalar_cross_model():
         raise NotImplementedError("sampling requires the scalar Eve cross model")
-    rho = corr.rho_eve[None, :, None]
-    mix = np.sqrt(np.clip(1.0 - corr.rho_eve ** 2, 0.0, None))[None, :, None]
+    w = np.asarray(w, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    sig = np.sqrt(corr.noise_power)
+    root_bs, root_ris = corr.bs_corr_sqrt, corr.ris_corr_sqrt
+    link = (root_ris * v) @ root_ris.T
+    lam = (corr.beta_ar * np.linalg.norm(root_bs.T @ w) ** 2
+           * np.linalg.svd(link, compute_uv=False) ** 2)
+    direct = np.linalg.norm(root_bs @ w)
+    uplink_sig = sig * np.linalg.norm(w)
+    rho = corr.rho_eve
+    mix_sq = np.clip(1.0 - rho ** 2, 0.0, None)
+    exp_rng, leg_rng, eve_rng = rng.spawn(3)
 
-    done = 0
-    while done < rounds:
-        b = min(chunk, rounds - done)
-        h_mat = _cn(rng, b, m, n)
-        tilde_rb = _cn(rng, b, n)
-        tilde_ab = _cn(rng, b, m)
-        tilde_re = np.conj(rho * np.conj(tilde_rb)[:, None, :] + mix * _cn(rng, b, k, n))
-        tilde_ae = rho * tilde_ab[:, None, :] + mix * _cn(rng, b, k, m)
-
-        # w^T G per round, with G the two-hop base-station/surface channel;
-        # both ends' reciprocal scalars are bilinear forms in it
-        g_chain = np.sqrt(corr.beta_ar) * (
-            (corr.bs_corr_sqrt @ h_mat) @ corr.ris_corr_sqrt)
-        wg = np.einsum("bmn,m->bn", g_chain, w)
-        h_rb = np.sqrt(corr.beta_rb) * tilde_rb @ corr.ris_corr_sqrt
-        h_ab = np.sqrt(corr.beta_ab) * tilde_ab @ corr.bs_corr_sqrt
-        shared = np.sum(wg * (v * h_rb), axis=1) + h_ab @ w
-
-        h_re = np.sqrt(corr.beta_re)[None, :, None] * tilde_re @ corr.ris_corr_sqrt
-        h_ae = np.sqrt(corr.beta_ae)[None, :, None] * tilde_ae @ corr.bs_corr_sqrt
-        eve_recip = np.einsum("bkn,bn->bk", v[None, None, :] * h_re, wg)
-        eve_direct = h_ae @ w
-
-        sl = slice(done, done + b)
-        out_a[sl] = (np.sqrt(corr.power_bob) * shared
-                     + _cn(rng, b, m) @ w * sig)
-        out_b[sl] = shared + sig * _cn(rng, b)
-        out_e[sl] = eve_recip + eve_direct + sig * _cn(rng, b, k)
-        done += b
+    out_a = np.empty(rounds, dtype=complex)
+    out_b = np.empty(rounds, dtype=complex)
+    out_e = np.empty((rounds, corr.n_eve), dtype=complex) if eve else None
+    for start in range(0, rounds, chunk):
+        sl = slice(start, min(start + chunk, rounds))
+        b = sl.stop - start
+        u_sq = exp_rng.standard_exponential((b, lam.size)) @ lam
+        s_b, d, n_a, n_b = _cn(leg_rng, b, 4).T
+        cascade = np.sqrt(u_sq) * s_b
+        shared = (np.sqrt(corr.beta_rb) * cascade
+                  + np.sqrt(corr.beta_ab) * direct * d)
+        out_a[sl] = np.sqrt(corr.power_bob) * shared + uplink_sig * n_a
+        out_b[sl] = shared + sig * n_b
+        if eve:
+            fresh_sq = (mix_sq * (corr.beta_re * u_sq[:, None]
+                                  + corr.beta_ae * direct ** 2)
+                        + corr.noise_power)
+            out_e[sl] = (
+                rho * (np.sqrt(corr.beta_re) * cascade[:, None]
+                       + np.sqrt(corr.beta_ae) * direct * d[:, None])
+                + np.sqrt(fresh_sq) * _cn(eve_rng, b, corr.n_eve))
     return out_a, out_b, out_e

@@ -230,7 +230,7 @@ def _probe_record(corr, w, v, seeds, rounds):
     rate between the legitimate sequences plus randomness p-values and
     length of the user's bits."""
     obs_a, obs_b, _ = simulate_probing(
-        corr, w, v, np.random.default_rng(seeds + [1]), rounds)
+        corr, w, v, np.random.default_rng(seeds + [1]), rounds, eve=False)
     bits_a = quantize_median_bits(np.abs(obs_a))
     bits_b = quantize_median_bits(np.abs(obs_b))
     return (bit_disagreement(bits_a, bits_b), frequency_test(bits_b),

@@ -237,7 +237,7 @@ def project_discs(vt):
     vt = np.asarray(vt, dtype=float).copy()
     n = vt.shape[0] // 2
     mag = np.hypot(vt[:n], vt[n:])
-    scale = np.where(mag > 1.0, 1.0 / np.where(mag > 0, mag, 1.0), 1.0)
+    scale = np.divide(1.0, mag, out=np.ones_like(mag), where=mag > 1.0)
     vt[:n] *= scale
     vt[n:] *= scale
     return vt

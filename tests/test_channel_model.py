@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
+from scipy.stats import ks_2samp
 
 from ris_skg import channel_model as cm
+from ris_skg.harness import bit_disagreement, quantize_median_bits
 from ris_skg.kgr_core import covariance_blocks, empirical_covariance_blocks
 
 import oracles
@@ -303,9 +305,73 @@ def test_simulate_probing_deterministic_and_chunk_invariant():
     corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
     w = oracles.random_combiner(rng, corr)
     v = oracles.random_reflect(rng, corr)
-    a1, b1, e1 = cm.simulate_probing(corr, w, v, np.random.default_rng(5), 300,
+    ref = cm.simulate_probing(corr, w, v, np.random.default_rng(5), 300)
+    for chunk in (64, 7, 300, 1000):
+        got = cm.simulate_probing(corr, w, v, np.random.default_rng(5), 300,
+                                  chunk=chunk)
+        for a, b in zip(ref, got):
+            assert np.array_equal(a, b)
+
+
+def test_simulate_probing_without_eve_keeps_alice_and_bob():
+    rng = np.random.default_rng(34)
+    corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
+    w = oracles.random_combiner(rng, corr)
+    v = oracles.random_reflect(rng, corr)
+    # several chunks, so Eve's draws would shift later ones if they shared
+    # the legitimate stream
+    a1, b1, e1 = cm.simulate_probing(corr, w, v, np.random.default_rng(6), 500,
                                      chunk=64)
-    a2, b2, e2 = cm.simulate_probing(corr, w, v, np.random.default_rng(5), 300,
-                                     chunk=64)
+    a2, b2, e2 = cm.simulate_probing(corr, w, v, np.random.default_rng(6), 500,
+                                     chunk=64, eve=False)
+    assert e1.shape == (500, 2)
+    assert e2 is None
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
-    assert np.array_equal(e1, e2)
+
+
+def _probing_from_channel_draws(corr, w, v, rng, rounds):
+    """Observation sequences assembled round by round from full channel
+    draws: shared = w^T G diag(v) h_rb + h_ab^T w, Alice sees
+    sqrt(P_b) shared + sigma n^T w, Bob shared + sigma n, Eve antenna k
+    w^T G diag(v) h_re,k + h_ae,k^T w + sigma n."""
+    sig = np.sqrt(corr.noise_power)
+    alice = np.empty(rounds, dtype=complex)
+    bob = np.empty(rounds, dtype=complex)
+    eve = np.empty((rounds, corr.n_eve), dtype=complex)
+    for r in range(rounds):
+        ch = cm.sample_channels(corr, rng)
+        wg = w @ ch.g_ar
+        shared = wg @ (v * ch.h_rb) + ch.h_ab @ w
+        alice[r] = (np.sqrt(corr.power_bob) * shared
+                    + sig * (cm._cn(rng, corr.n_bs) @ w))
+        bob[r] = shared + sig * cm._cn(rng, 1)[0]
+        eve[r] = (ch.h_re * v) @ wg + ch.h_ae @ w + sig * cm._cn(rng, corr.n_eve)
+    return alice, bob, eve
+
+
+def test_simulate_probing_matches_channel_draws_in_law():
+    """The sufficient-statistic sampler against full channel draws, beyond
+    second moments: a Gaussian with the right covariance fails the KS
+    tests here, because the reflected path dominates and its magnitude is
+    a product of a generalized chi and a Rayleigh factor."""
+    rng = np.random.default_rng(41)
+    corr = oracles.random_corr(rng, n_bs=3, n_ris=4, n_eve=2)
+    corr.beta_ab = 0.02
+    corr.noise_power = 0.02
+    w = oracles.random_combiner(rng, corr, full_power=True)
+    v = oracles.random_reflect(rng, corr, unit_modulus=True)
+    rounds = 5000
+    ref = _probing_from_channel_draws(corr, w, v, np.random.default_rng(42),
+                                      rounds)
+    got = cm.simulate_probing(corr, w, v, np.random.default_rng(43), rounds)
+    for want, have in ((ref[0], got[0]), (ref[1], got[1]),
+                       (ref[2][:, 0], got[2][:, 0])):
+        assert ks_2samp(np.abs(want), np.abs(have)).pvalue > 1e-3
+
+    def bdr(alice, bob):
+        return bit_disagreement(quantize_median_bits(np.abs(alice)),
+                                quantize_median_bits(np.abs(bob)))
+
+    want, have = bdr(ref[0], ref[1]), bdr(got[0], got[1])
+    se = np.sqrt(want * (1.0 - want) * 2.0 / rounds)
+    assert abs(have - want) <= 4.0 * se

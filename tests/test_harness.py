@@ -243,8 +243,8 @@ def test_cli_runs_experiment(tmp_path, capsys):
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
-    rc = cli.main(["kgr_vs_power", "--config", str(bad),
-                   "--out", str(tmp_path / "run")])
+    rc = cli.main(["kgr_vs_power", "--preset", "desk", "--trials", "1",
+                   "--config", str(bad), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 

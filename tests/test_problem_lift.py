@@ -153,6 +153,13 @@ def test_project_discs_properties(data):
     assert np.allclose(pl.project_discs(inside), inside)
 
 
+def test_project_discs_subnormal_input():
+    # only magnitudes above one are divided, so a subnormal pair must not
+    # overflow in the reciprocal and must pass through unchanged
+    raw = np.array([5e-324, 0.0])
+    assert np.array_equal(pl.project_discs(raw), raw)
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_project_ball_properties(data):
