@@ -14,7 +14,7 @@ floating-point noise ever breaks the chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,31 +27,24 @@ CURVATURE_FLOOR = 1e-12
 def curvature_v(prob, wt):
     """Per-eavesdropper curvature bounds for the reflection block.
 
-    Polynomial in the combiner-side scalars (m = wt'Rs wt and the direct
-    cross forms) and the cached spectra of the surface-side matrices;
-    floored at a tiny positive value so the surrogates stay strongly
-    concave even when every cross term vanishes.
+    Polynomial in the combiner form m = wt'Rs wt and the spectra of the
+    surface-side matrices, which are closed-form in lam_max(H) since every
+    one is a non-negative combination of H and the identity; floored at a
+    tiny positive value so the surrogates stay strongly concave even when
+    every cross term vanishes.
     """
     wt = np.asarray(wt, dtype=float)
     n = float(prob.n_ris)
     sig2 = prob.noise_power
     m_w = float(wt @ prob.r_s @ wt)
-    q_w = np.einsum("i,kij,j->k", wt, prob.q_bs, wt)
-    p_w = np.einsum("i,kij,j->k", wt, prob.p_bs, wt)
-
-    lam_qhat = m_w * prob.lam_q_ris
-    lam_phat = m_w * prob.lam_p_ris
-    qhat_sym = 2.0 * m_w ** 2 * prob.lam2_q_ris   # lam_max(Qh (Qh + Qh'))
-    phat_sym = 2.0 * m_w ** 2 * prob.lam2_p_ris
-    top_q = q_w + n * lam_qhat
-    top_p = p_w + n * lam_phat
+    lam_r_e = prob.eve_had * prob.lam_had + prob.eve_eye
+    lam_qhat = m_w * prob.cross_had * prob.lam_had
+    top_q = prob.cross_direct * m_w + n * lam_qhat
 
     bound = (n / sig2) * (
-        4.0 * (top_q ** 2 + top_p ** 2) / sig2 ** 2
-        * m_w ** 2 * n * prob.lam_r_e ** 2
-        + 2.0 * n * (qhat_sym + phat_sym)
+        4.0 * top_q ** 2 / sig2 ** 2 * m_w ** 2 * n * lam_r_e ** 2
+        + 4.0 * n * lam_qhat ** 2     # 2n lam_max(Qh (Qh + Qh'))
         + top_q * 2.0 * lam_qhat
-        + top_p * 2.0 * lam_phat
     )
     return np.maximum(bound, CURVATURE_FLOOR)
 
@@ -59,30 +52,22 @@ def curvature_v(prob, wt):
 def curvature_w(prob, vt):
     """Per-eavesdropper curvature bounds for the combiner block.
 
-    Built from the spectra of the aggregated matrices
-    Qbar_k = (vt'Qr_k vt) Rs + Qd_k (and the skew analogue), which depend
-    on the current reflection vector; same floor as the other block.
+    Built from the spectrum of the aggregated matrix
+    Qbar_k = (c_k h + e_k) Rs, a non-negative multiple of Rs that depends
+    on the current reflection vector through h = vt'H vt; same floor as
+    the other block.
     """
     vt = np.asarray(vt, dtype=float)
     pa = prob.power_alice
     sig2 = prob.noise_power
-    q_v = np.einsum("i,kij,j->k", vt, prob.q_ris, vt)
-    p_v = np.einsum("i,kij,j->k", vt, prob.p_ris, vt)
-    r_v = np.einsum("i,kij,j->k", vt, prob.r_e, vt)
+    h = float(vt @ prob.had @ vt)
+    r_v = prob.eve_had * h + prob.eve_eye * float(vt @ vt)
+    lam_qbar = (prob.cross_had * h + prob.cross_direct) * prob.lam_r_s
 
-    qbar = q_v[:, None, None] * prob.r_s[None, :, :] + prob.q_bs
-    pbar = p_v[:, None, None] * prob.r_s[None, :, :] + prob.p_bs
-    lam_qbar, lam2_qbar = pl.sym_eig_stats(qbar)
-    lam_pbar, lam2_pbar = pl.sym_eig_stats(pbar)
-
-    first_q = 4.0 * lam2_qbar                      # lam_max of 4 Qbar^2
     bound = (2.0 * pa / sig2) * (
-        first_q
-        + lam_qbar * 2.0 * lam_qbar
+        10.0 * lam_qbar ** 2          # 2 lam_max(4 Qbar^2) + 2 lam_max(Qbar)^2
         + r_v ** 2 * (4.0 * pa ** 3 / sig2 ** 2) * prob.lam_r_s ** 2
-        * (lam_qbar ** 2 + lam_pbar ** 2)
-        + lam_pbar * 2.0 * lam_pbar
-        + first_q
+        * lam_qbar ** 2
     )
     return np.maximum(bound, CURVATURE_FLOOR)
 

@@ -104,6 +104,8 @@ class ScenarioConfig:
             raise ConfigError("solver tolerances must be positive")
         if self.bsum_max_iters < 1 or self.inner_max_iters < 1:
             raise ConfigError("solver iteration caps must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.probe_rounds < 2:
@@ -282,12 +284,10 @@ def _psd_sqrt(mat, name="matrix"):
 class CorrelationSet:
     """Second-order statistics of one scenario draw.
 
-    ``cross_ris[k]`` is the effective surface-side cross matrix
-    (R_ris_sqrt @ C_k @ R_ris_sqrt) o R_ris for the cross-covariance C_k
-    between Eve antenna k's and Bob's normalized surface channels, without
-    the path-loss weights; ``cross_bs[k]`` the analogous base-station-side
-    matrix.  ``rho_eve[k]`` holds the scalar model's coefficient (NaN when a
-    caller installed general cross matrices).
+    ``rho_eve[k]`` in [0, 1] is the only link between Eve and Bob: the
+    normalized surface and direct channels of Eve antenna k have
+    cross-covariance rho_k I with Bob's, so its surface-side cross matrix
+    is rho_k (R_ris o R_ris) and its base-station-side one rho_k R_bs.
     """
 
     bs_corr: np.ndarray
@@ -301,8 +301,6 @@ class CorrelationSet:
     power_alice: float
     power_bob: float
     noise_power: float
-    cross_ris: np.ndarray = None
-    cross_bs: np.ndarray = None
     bs_corr_sqrt: np.ndarray = field(default=None, repr=False)
     ris_corr_sqrt: np.ndarray = field(default=None, repr=False)
     ris_had: np.ndarray = field(default=None, repr=False)
@@ -314,20 +312,14 @@ class CorrelationSet:
         self.beta_ae = np.atleast_1d(np.asarray(self.beta_ae, dtype=float))
         self.beta_re = np.atleast_1d(np.asarray(self.beta_re, dtype=float))
         self.rho_eve = np.atleast_1d(np.asarray(self.rho_eve, dtype=float))
+        if not np.all((self.rho_eve >= 0.0) & (self.rho_eve <= 1.0)):
+            raise ValueError("rho_eve must lie in [0, 1]")
         if self.bs_corr_sqrt is None:
             self.bs_corr_sqrt = _psd_sqrt(self.bs_corr, "bs_corr")
         if self.ris_corr_sqrt is None:
             self.ris_corr_sqrt = _psd_sqrt(self.ris_corr, "ris_corr")
         if self.ris_had is None:
             self.ris_had = self.ris_corr * self.ris_corr
-        if self.cross_ris is None:
-            self.cross_ris = self.rho_eve[:, None, None] * self.ris_had[None, :, :]
-        else:
-            self.cross_ris = np.asarray(self.cross_ris)
-        if self.cross_bs is None:
-            self.cross_bs = self.rho_eve[:, None, None] * self.bs_corr[None, :, :]
-        else:
-            self.cross_bs = np.asarray(self.cross_bs)
 
     @property
     def n_bs(self):
@@ -349,10 +341,6 @@ class CorrelationSet:
     @property
     def beta_cascade_eve(self):
         return self.beta_ar * self.beta_re
-
-    def scalar_cross_model(self):
-        """True when the Eve cross matrices are the scalar rho_k model."""
-        return not np.any(np.isnan(self.rho_eve))
 
 
 def draw_eve_positions(config, rng):
@@ -437,10 +425,7 @@ def sample_channels(corr, rng):
 
     Eve's normalized channels are generated from Bob's so that
     E{conj(h~_re,k) h~_rb^T} = rho_k I and E{h~_ab conj(h~_ae,k)^T} = rho_k I.
-    Only the scalar cross model is supported for sampling.
     """
-    if not corr.scalar_cross_model():
-        raise NotImplementedError("sampling requires the scalar Eve cross model")
     m, n, k = corr.n_bs, corr.n_ris, corr.n_eve
 
     h_mat = _cn(rng, m, n)
@@ -499,8 +484,6 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
     output does not depend on ``chunk`` (which bounds memory at
     chunk x N reals) nor on ``eve``.
     """
-    if not corr.scalar_cross_model():
-        raise NotImplementedError("sampling requires the scalar Eve cross model")
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
     sig = np.sqrt(corr.noise_power)

@@ -64,10 +64,9 @@ def effective_gains(corr, w, v):
     legit = m_w * (corr.beta_cascade * q_v + corr.beta_ab)
     eve = m_w * (corr.beta_cascade_eve * q_v + corr.beta_ae)
 
-    ris_part = np.einsum("n,knm,m->k", np.conj(v), corr.cross_ris, v)
-    bs_part = np.einsum("n,knm,m->k", w, corr.cross_bs, np.conj(w))
-    cross = (m_w * ris_part * np.sqrt(corr.beta_cascade * corr.beta_cascade_eve)
-             + bs_part * np.sqrt(corr.beta_ab * corr.beta_ae))
+    cross = corr.rho_eve * m_w * (
+        q_v * np.sqrt(corr.beta_cascade * corr.beta_cascade_eve)
+        + np.sqrt(corr.beta_ab * corr.beta_ae))
     return GainTriple(float(legit), eve, cross)
 
 

@@ -3,21 +3,27 @@
 The complex design variables are replaced by stacked real/imaginary parts:
 ``vt = [Re v; Im v]`` for the reflection vector and ``wt = [Re u; Im u]``
 with ``u = conj(w)`` for the combiner, so every complex quadratic form
-``x^H A x`` becomes a real symmetric form in the lifted vector.  Each
-per-eavesdropper effective gain turns into
+``x^H A x`` becomes a real symmetric form in the lifted vector.  Under the
+scalar Eve cross model every surface-side matrix is a weighted sum of
+H = lift(R_ris o R_ris) and the identity, and every base-station-side one
+a multiple of Rs = lift(R_bs), so each per-eavesdropper effective gain
+depends on the design only through m = wt'Rs wt, h = vt'H vt and
+s = vt'vt:
 
-    f_k(vt, wt) = m * vt'Ru vt - (u1^2 + u2^2) / (m * vt'Rk vt + sigma^2)
+    f_k = m q_u - u1_k^2 / (m r_k + sigma^2),
+    q_u = beta_c h + (beta_ab / N) s,   r_k = beta_ce,k h + (beta_ae,k / N) s,
+    u1_k = m (c_k h + e_k)
 
-with m = wt'Rs wt, u1 = m * vt'Qr_k vt + wt'Qd_k wt and u2 the same with
-the skew parts, which is the sum of a quadratic and a negated
-quadratic-over-linear composition - the structure both block solvers
-exploit.  The unit-modulus constraint relaxes to per-element discs
+with the cross coefficients c_k = rho_k sqrt(beta_c beta_ce,k) and
+e_k = rho_k sqrt(beta_ab beta_ae,k).  That is the sum of a quadratic and
+a negated quadratic-over-linear composition - the structure both block
+solvers exploit.  The unit-modulus constraint relaxes to per-element discs
 (vt_i^2 + vt_{N+i}^2 <= 1) and the combiner power to a Euclidean ball.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +34,6 @@ def lift_hermitian(a):
     a = np.asarray(a)
     re, im = np.real(a), np.imag(a)
     return np.block([[re, -im], [im, re]])
-
-
-def split_hermitian_parts(a):
-    """Hermitian/skew decomposition A = H + 1j*S with H, S both Hermitian."""
-    a = np.asarray(a, dtype=complex)
-    h = (a + a.conj().T) / 2.0
-    s = (a - a.conj().T) / 2.0j
-    return h, s
 
 
 def lift_vector(x):
@@ -59,51 +57,32 @@ def combiner_from_lifted(wt):
     return np.conj(unlift_vector(wt))
 
 
-def sym_eig_stats(mats):
-    """Per-matrix (signed max eigenvalue, max squared eigenvalue)."""
-    vals = np.linalg.eigvalsh(mats)
-    return vals[..., -1], np.max(vals ** 2, axis=-1)
-
-
 @dataclass
 class LiftedProblem:
-    """All matrices of the lifted max-min problem, with cached spectral
-    quantities used by the block curvature bounds.
+    """The two shared matrices of the lifted max-min problem, their top
+    eigenvalues and the per-eavesdropper coefficients of the gains.
 
-    Shapes: ``r_u`` and stacked ``r_e/q_ris/p_ris`` are (2N, 2N) /
-    (K, 2N, 2N); ``r_s`` and stacked ``q_bs/p_bs`` are (2M, 2M) /
-    (K, 2M, 2M).
+    ``had`` is H (2N, 2N) and ``r_s`` is Rs (2M, 2M).  ``legit_had`` and
+    ``legit_eye`` weigh h and s in q_u; the (K,) ``eve_had``/``eve_eye``
+    weigh them in r_k, and ``cross_had``/``cross_direct`` are c_k and e_k.
     """
 
-    r_u: np.ndarray
-    r_e: np.ndarray
-    q_ris: np.ndarray
-    p_ris: np.ndarray
+    had: np.ndarray
     r_s: np.ndarray
-    q_bs: np.ndarray
-    p_bs: np.ndarray
+    lam_had: float
+    lam_r_s: float
+    legit_had: float
+    legit_eye: float
+    eve_had: np.ndarray
+    eve_eye: np.ndarray
+    cross_had: np.ndarray
+    cross_direct: np.ndarray
     noise_power: float
     power_alice: float
-    lam_r_e: np.ndarray = field(default=None, repr=False)
-    lam_q_ris: np.ndarray = field(default=None, repr=False)
-    lam2_q_ris: np.ndarray = field(default=None, repr=False)
-    lam_p_ris: np.ndarray = field(default=None, repr=False)
-    lam2_p_ris: np.ndarray = field(default=None, repr=False)
-    lam_r_s: float = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.lam_r_e is None:
-            self.lam_r_e, _ = sym_eig_stats(self.r_e)
-        if self.lam_q_ris is None:
-            self.lam_q_ris, self.lam2_q_ris = sym_eig_stats(self.q_ris)
-        if self.lam_p_ris is None:
-            self.lam_p_ris, self.lam2_p_ris = sym_eig_stats(self.p_ris)
-        if self.lam_r_s is None:
-            self.lam_r_s = float(np.linalg.eigvalsh(self.r_s)[-1])
 
     @property
     def n_ris(self):
-        return self.r_u.shape[0] // 2
+        return self.had.shape[0] // 2
 
     @property
     def n_bs(self):
@@ -111,7 +90,7 @@ class LiftedProblem:
 
     @property
     def n_eve(self):
-        return self.r_e.shape[0]
+        return self.eve_had.shape[0]
 
 
 def build_lifted(corr):
@@ -119,39 +98,22 @@ def build_lifted(corr):
 
     The direct-path variances are spread over the surface elements
     (beta/N on the identity) so they enter the same quadratic forms; on
-    the unit-modulus set this is exact.
+    the unit-modulus set this is exact.  A Hermitian matrix and its lift
+    share their eigenvalues, so the top ones come from the complex forms.
     """
     n = corr.n_ris
-    k = corr.n_eve
-    eye = np.eye(n)
-
-    r_u = lift_hermitian(corr.beta_cascade * corr.ris_had
-                         + (corr.beta_ab / n) * eye)
-    r_e = np.stack([
-        lift_hermitian(corr.beta_cascade_eve[i] * corr.ris_had
-                       + (corr.beta_ae[i] / n) * eye)
-        for i in range(k)
-    ])
-
-    s_ris = np.sqrt(corr.beta_cascade * corr.beta_cascade_eve)
-    s_bs = np.sqrt(corr.beta_ab * corr.beta_ae)
-    q_ris, p_ris, q_bs, p_bs = [], [], [], []
-    for i in range(k):
-        h, s = split_hermitian_parts(corr.cross_ris[i])
-        q_ris.append(s_ris[i] * lift_hermitian(h))
-        p_ris.append(s_ris[i] * lift_hermitian(s))
-        h, s = split_hermitian_parts(corr.cross_bs[i])
-        q_bs.append(s_bs[i] * lift_hermitian(h))
-        p_bs.append(s_bs[i] * lift_hermitian(s))
-
     return LiftedProblem(
-        r_u=r_u,
-        r_e=r_e,
-        q_ris=np.stack(q_ris),
-        p_ris=np.stack(p_ris),
+        had=lift_hermitian(corr.ris_had),
         r_s=lift_hermitian(corr.bs_corr),
-        q_bs=np.stack(q_bs),
-        p_bs=np.stack(p_bs),
+        lam_had=float(np.linalg.eigvalsh(corr.ris_had)[-1]),
+        lam_r_s=float(np.linalg.eigvalsh(corr.bs_corr)[-1]),
+        legit_had=corr.beta_cascade,
+        legit_eye=corr.beta_ab / n,
+        eve_had=corr.beta_cascade_eve,
+        eve_eye=corr.beta_ae / n,
+        cross_had=corr.rho_eve * np.sqrt(corr.beta_cascade
+                                         * corr.beta_cascade_eve),
+        cross_direct=corr.rho_eve * np.sqrt(corr.beta_ab * corr.beta_ae),
         noise_power=corr.noise_power,
         power_alice=corr.power_alice,
     )
@@ -162,15 +124,11 @@ class ObjectiveTerms:
     """Intermediate scalars of the per-eavesdropper gains at one point."""
 
     m: float           # combiner quadratic form wt'Rs wt
-    q_u: float         # vt'Ru vt
-    u1: np.ndarray     # (K,) real parts of the cross gains
-    u2: np.ndarray     # (K,) imaginary parts
-    d: np.ndarray      # (K,) denominators m * vt'Rk vt + sigma^2
-    r_v: np.ndarray    # (K,) vt'Rk vt
-    q_v: np.ndarray    # (K,) vt'Qr_k vt
-    p_v: np.ndarray    # (K,) vt'Pr_k vt
-    q_w: np.ndarray    # (K,) wt'Qd_k wt
-    p_w: np.ndarray    # (K,) wt'Pd_k wt
+    q_u: float         # legitimate form beta_c h + (beta_ab / N) s
+    u1: np.ndarray     # (K,) cross gains m (q_v + e_k)
+    d: np.ndarray      # (K,) denominators m * r_v + sigma^2
+    r_v: np.ndarray    # (K,) beta_ce,k h + (beta_ae,k / N) s
+    q_v: np.ndarray    # (K,) c_k h
     f: np.ndarray      # (K,) effective gains
 
 
@@ -178,17 +136,15 @@ def objective_terms(prob, vt, wt):
     vt = np.asarray(vt, dtype=float)
     wt = np.asarray(wt, dtype=float)
     m = float(wt @ prob.r_s @ wt)
-    q_u = float(vt @ prob.r_u @ vt)
-    r_v = np.einsum("i,kij,j->k", vt, prob.r_e, vt)
-    q_v = np.einsum("i,kij,j->k", vt, prob.q_ris, vt)
-    p_v = np.einsum("i,kij,j->k", vt, prob.p_ris, vt)
-    q_w = np.einsum("i,kij,j->k", wt, prob.q_bs, wt)
-    p_w = np.einsum("i,kij,j->k", wt, prob.p_bs, wt)
-    u1 = m * q_v + q_w
-    u2 = m * p_v + p_w
+    h = float(vt @ prob.had @ vt)
+    s = float(vt @ vt)
+    q_u = prob.legit_had * h + prob.legit_eye * s
+    r_v = prob.eve_had * h + prob.eve_eye * s
+    q_v = prob.cross_had * h
+    u1 = m * (q_v + prob.cross_direct)
     d = m * r_v + prob.noise_power
-    f = m * q_u - (u1 ** 2 + u2 ** 2) / d
-    return ObjectiveTerms(m, q_u, u1, u2, d, r_v, q_v, p_v, q_w, p_w, f)
+    f = m * q_u - u1 ** 2 / d
+    return ObjectiveTerms(m, q_u, u1, d, r_v, q_v, f)
 
 
 def objective(prob, vt, wt):
@@ -201,34 +157,26 @@ def min_objective(prob, vt, wt):
 
 
 def grad_v(prob, vt, wt, terms=None):
-    """Gradients of every f_k in the surface block, shape (K, 2N)."""
+    """Gradients of every f_k in the surface block, shape (K, 2N): each a
+    combination of H vt and vt."""
     t = objective_terms(prob, vt, wt) if terms is None else terms
     vt = np.asarray(vt, dtype=float)
-    ru_v = prob.r_u @ vt
-    re_v = np.einsum("kij,j->ki", prob.r_e, vt)
-    qr_v = np.einsum("kij,j->ki", prob.q_ris, vt)
-    pr_v = np.einsum("kij,j->ki", prob.p_ris, vt)
-    m = t.m
-    lead = 2.0 * m * ru_v[None, :]
-    mid = (4.0 * m) * (t.u1[:, None] * qr_v + t.u2[:, None] * pr_v) / t.d[:, None]
-    tail = ((t.u1 ** 2 + t.u2 ** 2) / t.d ** 2)[:, None] * (2.0 * m) * re_v
-    return lead - mid + tail
+    lead = t.u1 / t.d
+    on_had = 2.0 * t.m * (prob.legit_had - 2.0 * lead * prob.cross_had
+                          + lead ** 2 * prob.eve_had)
+    on_eye = 2.0 * t.m * (prob.legit_eye + lead ** 2 * prob.eve_eye)
+    return on_had[:, None] * (prob.had @ vt) + on_eye[:, None] * vt
 
 
 def grad_w(prob, vt, wt, terms=None):
-    """Gradients of every f_k in the combiner block, shape (K, 2M)."""
+    """Gradients of every f_k in the combiner block, shape (K, 2M): each a
+    multiple of Rs wt, the gradient of m."""
     t = objective_terms(prob, vt, wt) if terms is None else terms
     wt = np.asarray(wt, dtype=float)
-    rs_w = prob.r_s @ wt
-    qd_w = np.einsum("kij,j->ki", prob.q_bs, wt)
-    pd_w = np.einsum("kij,j->ki", prob.p_bs, wt)
-    du1 = 2.0 * (t.q_v[:, None] * rs_w[None, :] + qd_w)
-    du2 = 2.0 * (t.p_v[:, None] * rs_w[None, :] + pd_w)
-    lead = 2.0 * t.q_u * rs_w[None, :]
-    mid = (2.0 * t.u1[:, None] * du1 + 2.0 * t.u2[:, None] * du2) / t.d[:, None]
-    tail = ((t.u1 ** 2 + t.u2 ** 2) / t.d ** 2)[:, None] \
-        * 2.0 * t.r_v[:, None] * rs_w[None, :]
-    return lead - mid + tail
+    lead = t.u1 / t.d
+    df_dm = (t.q_u - 2.0 * lead * (t.q_v + prob.cross_direct)
+             + lead ** 2 * t.r_v)
+    return (2.0 * df_dm)[:, None] * (prob.r_s @ wt)
 
 
 def project_discs(vt):

@@ -10,8 +10,10 @@ import itertools
 
 import numpy as np
 
+from ris_skg import bsum
 from ris_skg import channel_model as cm
 from ris_skg import mirror_prox as mp
+from ris_skg import problem_lift as pl
 
 # ---------------------------------------------------------------------------
 # saddle-point bracket
@@ -102,6 +104,87 @@ def fd_grad(fun, x, eps=1e-6):
         step[i] = eps
         g[i] = (fun(x + step) - fun(x - step)) / (2.0 * eps)
     return g
+
+
+# ---------------------------------------------------------------------------
+# dense per-eavesdropper lift
+
+
+def _top_eigs(mats):
+    """Per-matrix (signed max eigenvalue, max squared eigenvalue)."""
+    vals = np.linalg.eigvalsh(mats)
+    return vals[..., -1], np.max(vals ** 2, axis=-1)
+
+
+def dense_reference(corr, vt, wt):
+    """Gains, block gradients and curvature bounds at (vt, wt) from dense
+    per-eavesdropper matrices, each lifted on its own, with spectra from
+    eigvalsh.
+
+    The cross matrices rho_k (R_ris o R_ris) and rho_k R_bs are Hermitian,
+    so the skew parts of a general cross model vanish and are left out.
+    Returns a dict with ``f`` (K,), ``grad_v`` (K, 2N), ``grad_w`` (K, 2M),
+    ``curvature_v`` and ``curvature_w`` (K,).
+    """
+    vt = np.asarray(vt, dtype=float)
+    wt = np.asarray(wt, dtype=float)
+    n, k = corr.n_ris, corr.n_eve
+    eye = np.eye(n)
+    lift = pl.lift_hermitian
+    r_u = lift(corr.beta_cascade * corr.ris_had + (corr.beta_ab / n) * eye)
+    r_e = np.stack([lift(corr.beta_cascade_eve[i] * corr.ris_had
+                         + (corr.beta_ae[i] / n) * eye) for i in range(k)])
+    s_ris = np.sqrt(corr.beta_cascade * corr.beta_cascade_eve)
+    s_bs = np.sqrt(corr.beta_ab * corr.beta_ae)
+    q_ris = np.stack([s_ris[i] * lift(corr.rho_eve[i] * corr.ris_had)
+                      for i in range(k)])
+    q_bs = np.stack([s_bs[i] * lift(corr.rho_eve[i] * corr.bs_corr)
+                     for i in range(k)])
+    r_s = lift(corr.bs_corr)
+    sig2, pa = corr.noise_power, corr.power_alice
+
+    m = wt @ r_s @ wt
+    q_u = vt @ r_u @ vt
+    r_v = np.einsum("i,kij,j->k", vt, r_e, vt)
+    q_v = np.einsum("i,kij,j->k", vt, q_ris, vt)
+    q_w = np.einsum("i,kij,j->k", wt, q_bs, wt)
+    u1 = m * q_v + q_w
+    d = m * r_v + sig2
+    ratio = (u1 ** 2 / d ** 2)[:, None]
+
+    rs_w = r_s @ wt
+    grad_v = (2.0 * m * (r_u @ vt)[None, :]
+              - 4.0 * m * u1[:, None] * (q_ris @ vt) / d[:, None]
+              + ratio * 2.0 * m * (r_e @ vt))
+    du1 = 2.0 * (q_v[:, None] * rs_w[None, :] + q_bs @ wt)
+    grad_w = (2.0 * q_u * rs_w[None, :]
+              - 2.0 * u1[:, None] * du1 / d[:, None]
+              + ratio * 2.0 * r_v[:, None] * rs_w[None, :])
+
+    lam_q, lam2_q = _top_eigs(q_ris)
+    lam_r_e = np.linalg.eigvalsh(r_e)[:, -1]
+    lam_qhat = m * lam_q
+    top_q = q_w + n * lam_qhat
+    curv_v = (n / sig2) * (
+        4.0 * top_q ** 2 / sig2 ** 2 * m ** 2 * n * lam_r_e ** 2
+        + 2.0 * n * (2.0 * m ** 2 * lam2_q)
+        + top_q * 2.0 * lam_qhat)
+
+    lam_qbar, lam2_qbar = _top_eigs(q_v[:, None, None] * r_s[None] + q_bs)
+    lam_r_s = np.linalg.eigvalsh(r_s)[-1]
+    curv_w = (2.0 * pa / sig2) * (
+        4.0 * lam2_qbar
+        + lam_qbar * 2.0 * lam_qbar
+        + r_v ** 2 * (4.0 * pa ** 3 / sig2 ** 2) * lam_r_s ** 2 * lam_qbar ** 2
+        + 4.0 * lam2_qbar)
+
+    return {
+        "f": m * q_u - u1 ** 2 / d,
+        "grad_v": grad_v,
+        "grad_w": grad_w,
+        "curvature_v": np.maximum(curv_v, bsum.CURVATURE_FLOOR),
+        "curvature_w": np.maximum(curv_w, bsum.CURVATURE_FLOOR),
+    }
 
 
 # ---------------------------------------------------------------------------

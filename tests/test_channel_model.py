@@ -209,7 +209,6 @@ def test_build_correlations_matches_geometry():
         corr.beta_re,
         cm.path_loss_gain(np.linalg.norm(pos - ris, axis=1),
                           cfg.pl_exp_ris_eve, cfg.ref_gain))
-    assert corr.scalar_cross_model()
     assert np.isclose(corr.beta_cascade, corr.beta_ar * corr.beta_rb)
 
 
@@ -255,8 +254,6 @@ def test_sample_channels_colocated_eve_sees_bobs_channel():
     rng = np.random.default_rng(2)
     corr = oracles.random_corr(rng, n_eve=1)
     corr.rho_eve[:] = 1.0
-    corr.cross_ris[:] = corr.ris_had
-    corr.cross_bs[:] = corr.bs_corr
     samp_rng = np.random.default_rng(8)
     for _ in range(5):
         ch = cm.sample_channels(corr, samp_rng)
@@ -266,20 +263,17 @@ def test_sample_channels_colocated_eve_sees_bobs_channel():
                            ch.h_ab / np.sqrt(corr.beta_ab))
 
 
-def test_sample_channels_requires_scalar_cross_model():
-    rng = np.random.default_rng(4)
-    corr = oracles.random_corr(rng, n_eve=1)
-    general = cm.CorrelationSet(
-        bs_corr=corr.bs_corr, ris_corr=corr.ris_corr,
-        beta_ab=corr.beta_ab, beta_ar=corr.beta_ar, beta_rb=corr.beta_rb,
-        beta_ae=corr.beta_ae, beta_re=corr.beta_re,
-        rho_eve=np.full(1, np.nan),
-        power_alice=corr.power_alice, power_bob=corr.power_bob,
-        noise_power=corr.noise_power,
-        cross_ris=0.5 * corr.ris_had[None], cross_bs=0.5 * corr.bs_corr[None])
-    assert not general.scalar_cross_model()
-    with pytest.raises(NotImplementedError):
-        cm.sample_channels(general, np.random.default_rng(0))
+@pytest.mark.parametrize("rho", [-0.1, 1.5, np.nan])
+def test_correlation_set_rejects_rho_outside_unit_interval(rho):
+    corr = oracles.random_corr(np.random.default_rng(4), n_eve=2)
+    with pytest.raises(ValueError, match="rho_eve"):
+        cm.CorrelationSet(
+            bs_corr=corr.bs_corr, ris_corr=corr.ris_corr,
+            beta_ab=corr.beta_ab, beta_ar=corr.beta_ar, beta_rb=corr.beta_rb,
+            beta_ae=corr.beta_ae, beta_re=corr.beta_re,
+            rho_eve=np.array([0.5, rho]),
+            power_alice=corr.power_alice, power_bob=corr.power_bob,
+            noise_power=corr.noise_power)
 
 
 def test_simulate_probing_matches_analytic_covariance():

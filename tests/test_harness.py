@@ -239,12 +239,20 @@ def test_cli_runs_experiment(tmp_path, capsys):
     "bob_pos = nan, 0, 0",
     "sweep_power_dbm = nan",
     "methods =",
+    "seed = -1",
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
     rc = cli.main(["kgr_vs_power", "--preset", "desk", "--trials", "1",
                    "--config", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_seed_flag(tmp_path, capsys):
+    rc = cli.main(["kgr_vs_power", "--preset", "desk", "--trials", "1",
+                   "--seed", "-1", "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 

@@ -1,13 +1,18 @@
 """Real lift of the complex design problem: identities, gradients,
 projections."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ris_skg import bsum
+from ris_skg import channel_model as cm
 from ris_skg import kgr_core as kc
 from ris_skg import problem_lift as pl
+from ris_skg.harness import build_config
 
 import oracles
 
@@ -43,31 +48,12 @@ def test_lift_of_hermitian_is_symmetric_with_same_quadratic_form():
                           np.real(x.conj() @ herm @ x))
 
 
-def test_split_hermitian_parts_reassemble():
-    rng = np.random.default_rng(2)
-    a = _rand_complex(rng, 4, 4)
-    h, s = pl.split_hermitian_parts(a)
-    assert np.allclose(h, h.conj().T)
-    assert np.allclose(s, s.conj().T)
-    assert np.allclose(h + 1j * s, a)
-
-
 def test_vector_round_trips():
     rng = np.random.default_rng(3)
     x = _rand_complex(rng, 6)
     assert np.allclose(pl.unlift_vector(pl.lift_vector(x)), x)
     w = _rand_complex(rng, 4)
     assert np.allclose(pl.combiner_from_lifted(pl.lift_combiner(w)), w)
-
-
-def test_sym_eig_stats_match_dense_spectra():
-    rng = np.random.default_rng(4)
-    mats = rng.standard_normal((3, 5, 5))
-    mats = (mats + mats.transpose(0, 2, 1)) / 2
-    top, top_sq = pl.sym_eig_stats(mats)
-    vals = np.linalg.eigvalsh(mats)
-    assert np.allclose(top, vals[:, -1])
-    assert np.allclose(top_sq, np.max(vals ** 2, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +84,50 @@ def test_objective_terms_consistency():
     terms = pl.objective_terms(prob, vt, wt)
     assert np.allclose(
         terms.f,
-        terms.m * terms.q_u - (terms.u1 ** 2 + terms.u2 ** 2) / terms.d)
+        terms.m * terms.q_u - terms.u1 ** 2 / terms.d)
     assert pl.min_objective(prob, vt, wt) == pytest.approx(np.min(terms.f))
     assert np.allclose(pl.objective(prob, vt, wt), terms.f)
+
+
+def _assert_rows_close(got, ref, rtol=1e-9):
+    """Each eavesdropper's value or vector within rtol of its largest entry."""
+    k = ref.shape[0]
+    got, ref = got.reshape(k, -1), ref.reshape(k, -1)
+    scale = np.max(np.abs(ref), axis=1)
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= rtol * scale)
+
+
+def _assert_matches_dense(corr, vt, wt):
+    prob = pl.build_lifted(corr)
+    ref = oracles.dense_reference(corr, vt, wt)
+    _assert_rows_close(pl.objective(prob, vt, wt), ref["f"])
+    _assert_rows_close(pl.grad_v(prob, vt, wt), ref["grad_v"])
+    _assert_rows_close(pl.grad_w(prob, vt, wt), ref["grad_w"])
+    _assert_rows_close(bsum.curvature_v(prob, wt), ref["curvature_v"])
+    _assert_rows_close(bsum.curvature_w(prob, vt), ref["curvature_w"])
+
+
+def test_factored_lift_matches_dense_reference():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        corr = oracles.random_corr(rng, n_bs=3, n_ris=5, n_eve=3)
+        vt = pl.project_discs(rng.standard_normal(2 * corr.n_ris))
+        wt = pl.project_ball(rng.standard_normal(2 * corr.n_bs),
+                             corr.power_alice)
+        _assert_matches_dense(corr, vt, wt)
+
+
+@pytest.mark.parametrize("ris_shape", [(5, 4), (5, 12)])
+def test_factored_lift_matches_dense_reference_at_paper_scale(ris_shape):
+    cfg = replace(build_config("paper"), ris_shape=ris_shape)
+    rng = np.random.default_rng(7)
+    corr = cm.build_correlations(cfg, rng)
+    w, v = bsum.statistical_design(corr)
+    _assert_matches_dense(corr, pl.lift_vector(v), pl.lift_combiner(w))
+    vt = pl.project_discs(rng.standard_normal(2 * corr.n_ris))
+    wt = pl.project_ball(rng.standard_normal(2 * corr.n_bs),
+                         corr.power_alice)
+    _assert_matches_dense(corr, vt, wt)
 
 
 # ---------------------------------------------------------------------------
