@@ -5,7 +5,6 @@ set -e
 
 out="${1:-runs/desk}"
 
-for exp in convergence kgr_vs_power kgr_vs_n kgr_vs_m kgr_vs_eve_radius \
-           bdr_vs_power; do
+for exp in kgr_vs_power kgr_vs_n kgr_vs_m kgr_vs_eve_radius bdr_vs_power; do
     ris-skg "$exp" --preset desk --out "$out/$exp"
 done

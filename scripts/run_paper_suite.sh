@@ -10,8 +10,6 @@ set -e
 
 out="${1:-runs/paper}"
 
-ris-skg convergence   --preset paper --out "$out/convergence" \
-        --config configs/convergence_n60.cfg
 for exp in kgr_vs_power kgr_vs_n kgr_vs_m kgr_vs_eve_radius bdr_vs_power; do
     ris-skg "$exp" --preset paper --out "$out/$exp"
 done

@@ -10,6 +10,10 @@ inner solver never returns a point worse than its warm start, the true
 worst-case gain is non-decreasing across iterations; a guard re-checks
 that on the actual objective and keeps the previous block value if
 floating-point noise ever breaks the chain.
+
+This is the paper's design method, kept as a tested reference.  Under the
+scalar Eve cross model ``statistical_design`` is its exact optimum in
+closed form (the proof is in that docstring), so no experiment runs it.
 """
 
 from __future__ import annotations
@@ -97,7 +101,29 @@ def build_surrogate_w(prob, vt, wt, terms=None):
 
 def statistical_design(corr):
     """Correlation-only design: combiner along the top base-station
-    eigenvector at full power, all reflection phases aligned at zero."""
+    eigenvector at full power, all reflection phases aligned at zero.
+
+    It is the exact maximizer of every per-eavesdropper gain f_k at once,
+    over the relaxed set (discs x ball) and hence over unit-modulus
+    phases, so it is also the exact max-min optimum that ``bsum_solve``
+    approaches.  Proof, in the notation of ``problem_lift``: f_k depends
+    on the design only through m = wt'Rs wt, h = vt'H vt and s = vt'vt.
+    With u_k = c_k h + e_k, d_k = m r_k + sigma^2 and t = m u_k / d_k,
+
+    * df/ds = (m / N)(beta_ab + beta_ae,k t^2) >= 0;
+    * df/dh = m (beta_c - 2 c_k t + beta_ce,k t^2) >= 0, a quadratic in t
+      with discriminant 4 beta_c beta_ce,k (rho_k^2 - 1) <= 0;
+    * at s = N, df/dm = q_u - 2 u_k t + r_k t^2 >= 0, since
+      Cauchy-Schwarz gives u_k^2 <= rho_k^2 q_u r_k <= q_u r_k there.
+
+    R_bs and R_ris are real (``CorrelationSet`` rejects complex ones), so
+    R_ris o R_ris is entrywise non-negative and every disc point has
+    h <= 1'(R_ris o R_ris) 1 = h* and s <= N; v = 1 reaches both.  The top
+    eigenvector at full power reaches the largest m = P lam_max(R_bs) = m*.
+    Hence f_k(m, h, s) <= f_k(m, h*, N) <= f_k(m*, h*, N) for every k.
+    For a fixed combiner (the ``iid_bs`` baseline) the first step alone
+    makes v = 1 optimal.
+    """
     vals, vecs = np.linalg.eigh(corr.bs_corr)
     w = np.sqrt(corr.power_alice) * vecs[:, -1].astype(complex)
     v = np.ones(corr.n_ris, dtype=complex)
@@ -110,7 +136,6 @@ class BsumResult:
     wt: np.ndarray
     objective: float
     trace: np.ndarray            # worst-case gain after each outer iteration
-    trace_wsq: np.ndarray        # combiner power along the same trace
     iterations: int
     converged: bool
     inner_iterations: int = 0
@@ -144,7 +169,6 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
 
     current = pl.min_objective(prob, vt, wt)
     trace = [current]
-    trace_wsq = [float(wt @ wt)]
     iterates = [] if keep_iterates else None
     inner_total = 0
     rejected = 0
@@ -179,7 +203,6 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
             else:
                 rejected += 1
         trace.append(current)
-        trace_wsq.append(float(wt @ wt))
         if trace[-1] - trace[-2] <= tol:
             converged = True
             break
@@ -189,7 +212,6 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
         wt=wt,
         objective=current,
         trace=np.asarray(trace),
-        trace_wsq=np.asarray(trace_wsq),
         iterations=it,
         converged=converged,
         inner_iterations=inner_total,

@@ -24,11 +24,15 @@ class ConfigError(ValueError):
 
 
 def dbm_to_watts(x_dbm):
-    return 10.0 ** ((np.asarray(x_dbm, dtype=float) - 30.0) / 10.0)
+    """Watts from dBm; a value too large for a float comes out inf, without
+    an overflow warning, for the config's finiteness check to reject."""
+    with np.errstate(over="ignore"):
+        return 10.0 ** ((np.asarray(x_dbm, dtype=float) - 30.0) / 10.0)
 
 
 def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+    with np.errstate(over="ignore"):
+        return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
 @dataclass
@@ -61,6 +65,8 @@ class ScenarioConfig:
     pl_exp_alice_eve: float = 4.0
     pl_exp_ris_eve: float = 2.0
     amplitude_pathloss: bool = True
+    # settings of the BSUM reference solver (bsum.optimize_design); no
+    # experiment runs it, but perfbench/checks.py passes these four
     bsum_tol: float = 1e-4
     bsum_max_iters: int = 200
     inner_tol: float = 1e-6
@@ -288,6 +294,8 @@ class CorrelationSet:
     normalized surface and direct channels of Eve antenna k have
     cross-covariance rho_k I with Bob's, so its surface-side cross matrix
     is rho_k (R_ris o R_ris) and its base-station-side one rho_k R_bs.
+    ``bs_corr`` and ``ris_corr`` must be real; a complex one with a
+    non-zero imaginary part raises ValueError.
     """
 
     bs_corr: np.ndarray
@@ -307,8 +315,12 @@ class CorrelationSet:
     eve_positions: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.bs_corr = np.asarray(self.bs_corr)
-        self.ris_corr = np.asarray(self.ris_corr)
+        # the gains use R o R and plain transposes: right for real R only
+        for name in ("bs_corr", "ris_corr"):
+            mat = np.asarray(getattr(self, name))
+            if np.iscomplexobj(mat) and np.any(mat.imag != 0):
+                raise ValueError(f"{name} must be real")
+            setattr(self, name, mat.real)
         self.beta_ae = np.atleast_1d(np.asarray(self.beta_ae, dtype=float))
         self.beta_re = np.atleast_1d(np.asarray(self.beta_re, dtype=float))
         self.rho_eve = np.atleast_1d(np.asarray(self.rho_eve, dtype=float))

@@ -1,7 +1,6 @@
 """Command-line front end: one subcommand per experiment.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when the inner
-solver diverges.
+Exit codes: 0 on success, 2 for configuration problems.
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ import sys
 
 from . import harness
 from .channel_model import ConfigError
-from .mirror_prox import DivergenceError
 
 _HELP = {
-    "convergence": "worst-case key rate after each outer solver iteration",
     "kgr_vs_power": "key rate versus probing power (dBm sweep)",
     "kgr_vs_n": "key rate versus number of surface elements",
     "kgr_vs_m": "key rate versus number of base-station antennas",
@@ -58,9 +55,6 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
-        print(f"solver divergence: {exc}", file=sys.stderr)
-        return 3
     print(f"{args.experiment}: wrote {info['rows']} rows")
     print(f"  results:  {info['results']}")
     print(f"  timings:  {info['timings']}")

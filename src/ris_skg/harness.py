@@ -22,10 +22,9 @@ from scipy.special import erfc
 
 from . import __version__
 from .baselines import DESIGN_METHODS
-from .bsum import optimize_design
 from .channel_model import (ConfigError, build_correlations, config_hash,
                             dbm_to_watts, parse_config_text, simulate_probing)
-from .kgr_core import kgr_from_summary, min_kgr_bits
+from .kgr_core import min_kgr_bits
 
 RESULTS_SCHEMA = 1
 BDR_SCHEMA = 1
@@ -146,15 +145,6 @@ def _check_methods(cfg):
                 f"unknown method {name!r}; known: {sorted(DESIGN_METHODS)}")
 
 
-def _solver_kwargs(cfg):
-    return {
-        "tol": cfg.bsum_tol,
-        "max_iters": cfg.bsum_max_iters,
-        "inner_tol": cfg.inner_tol,
-        "inner_max_iters": cfg.inner_max_iters,
-    }
-
-
 def _needs(cfg, key, experiment):
     if not getattr(cfg, key):
         raise ConfigError(f"experiment {experiment!r} requires config key {key}")
@@ -241,10 +231,14 @@ def _run_sweep(cfg, experiment):
     """Common driver: per sweep value, trial, and method, build the
     scenario, run the design, and record what the experiment measures of
     it (key rate, or probing bit statistics for ``bdr_vs_power``).  A
-    timing row covers the design and its record."""
+    timing row covers the design and its record.  Every sweep point's
+    config is validated before the first trial runs."""
     _check_methods(cfg)
+    points = list(_sweep_configs(cfg, experiment))
+    for _, sub in points:
+        sub.validate()
     rows, timings = [], []
-    for si, (sval, sub) in enumerate(_sweep_configs(cfg, experiment)):
+    for si, (sval, sub) in enumerate(points):
         for trial in range(sub.trials):
             corr = build_correlations(
                 sub, np.random.default_rng([sub.seed, trial]))
@@ -252,7 +246,7 @@ def _run_sweep(cfg, experiment):
                 seeds = [sub.seed, trial, si, mi]
                 t0 = time.perf_counter()
                 w, v, info = DESIGN_METHODS[method](
-                    corr, np.random.default_rng(seeds), **_solver_kwargs(sub))
+                    corr, np.random.default_rng(seeds))
                 if experiment == "bdr_vs_power":
                     record = _probe_record(corr, w, v, seeds,
                                            sub.probe_rounds)
@@ -266,28 +260,8 @@ def _run_sweep(cfg, experiment):
     return rows, timings
 
 
-def _run_convergence(cfg):
-    """Worst-case key rate after each outer solver iteration (sweep value
-    doubles as the iteration index; always runs the optimized design)."""
-    rows, timings = [], []
-    for trial in range(cfg.trials):
-        corr = build_correlations(
-            cfg, np.random.default_rng([cfg.seed, trial]))
-        t0 = time.perf_counter()
-        _, _, res = optimize_design(corr, **_solver_kwargs(cfg))
-        ms = (time.perf_counter() - t0) * 1e3
-        rates = kgr_from_summary(np.maximum(res.trace, 0.0), corr.power_bob,
-                                 np.maximum(res.trace_wsq, 1e-300),
-                                 corr.noise_power)
-        for it, rate in enumerate(np.atleast_1d(rates)):
-            rows.append(("convergence", it, trial, "optimized",
-                         float(rate), it, cfg.seed))
-        timings.append(("convergence", res.iterations, trial, "optimized", ms))
-    return rows, timings
-
-
-EXPERIMENTS = ("convergence", "kgr_vs_power", "kgr_vs_n", "kgr_vs_m",
-               "kgr_vs_eve_radius", "bdr_vs_power")
+EXPERIMENTS = ("kgr_vs_power", "kgr_vs_n", "kgr_vs_m", "kgr_vs_eve_radius",
+               "bdr_vs_power")
 
 
 def run_experiment(experiment, cfg, out_dir):
@@ -301,10 +275,7 @@ def run_experiment(experiment, cfg, out_dir):
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
 
-    if experiment == "convergence":
-        rows, timings = _run_convergence(cfg)
-    else:
-        rows, timings = _run_sweep(cfg, experiment)
+    rows, timings = _run_sweep(cfg, experiment)
     if experiment == "bdr_vs_power":
         name, columns, schema = "bdr", BDR_COLUMNS, BDR_SCHEMA
     else:

@@ -188,6 +188,53 @@ def dense_reference(corr, vt, wt):
 
 
 # ---------------------------------------------------------------------------
+# gains as functions of the three design forms
+
+
+def _surface_terms(prob, h, s):
+    """(q_u, r_k, u_k) of the gains, from the LiftedProblem coefficients."""
+    return (prob.legit_had * h + prob.legit_eye * s,
+            prob.eve_had * h + prob.eve_eye * s,
+            prob.cross_had * h + prob.cross_direct)
+
+
+def gains_from_forms(prob, m, h, s):
+    """Per-eavesdropper gains f_k, shape (K,), as functions of the three
+    forms m = wt'Rs wt, h = vt'H vt and s = vt'vt alone:
+    f_k = m q_u - (m u_k)^2 / (m r_k + sigma^2)."""
+    q_u, r_k, u_k = _surface_terms(prob, h, s)
+    return m * q_u - (m * u_k) ** 2 / (m * r_k + prob.noise_power)
+
+
+def form_partials(prob, m, h, s):
+    """(df/dm, df/dh, df/ds), each (K,), in the certificate's form with
+    t = m u_k / d_k; each is returned with the sum of the magnitudes of
+    its terms, the scale its rounding error is relative to."""
+    q_u, r_k, u_k = _surface_terms(prob, h, s)
+    t = m * u_k / (m * r_k + prob.noise_power)
+    d_m = (q_u - 2.0 * u_k * t + r_k * t ** 2,
+           q_u + 2.0 * np.abs(u_k * t) + r_k * t ** 2)
+    d_h = (m * (prob.legit_had - 2.0 * prob.cross_had * t
+                + prob.eve_had * t ** 2),
+           m * (prob.legit_had + 2.0 * np.abs(prob.cross_had * t)
+                + prob.eve_had * t ** 2))
+    d_s = (m * (prob.legit_eye + prob.eve_eye * t ** 2),) * 2
+    return d_m, d_h, d_s
+
+
+def random_feasible_point(rng, prob, unit_modulus=False, full_power=False):
+    """Lifted (vt, wt) with phases uniform, magnitudes uniform in [0, 1]
+    (or 1), and an isotropic combiner of radius up to (or at) full power."""
+    n, mb = prob.n_ris, prob.n_bs
+    mag = 1.0 if unit_modulus else rng.uniform(size=n)
+    v = mag * np.exp(2j * np.pi * rng.uniform(size=n))
+    w = rng.standard_normal(2 * mb)
+    radius = 1.0 if full_power else rng.uniform()
+    wt = w / np.linalg.norm(w) * np.sqrt(prob.power_alice) * radius
+    return pl.lift_vector(v), wt
+
+
+# ---------------------------------------------------------------------------
 # random scenario builders
 
 

@@ -118,6 +118,17 @@ def test_registry_contract():
         assert {"iterations", "converged"} <= set(info)
         rate = min_kgr_bits(corr, w, v)
         assert np.isfinite(rate) and rate >= -1e-12
+    # the correlation-only design is the exact max-min optimum, so the
+    # optimized method returns it as is, and iid_bs aligns every phase
+    w, v, info = bl.DESIGN_METHODS["optimized"](corr, np.random.default_rng(7))
+    w_stat, v_stat = statistical_design(corr)
+    assert np.array_equal(w, w_stat) and np.array_equal(v, v_stat)
+    assert info["iterations"] == 0
+    w, v, info = bl.DESIGN_METHODS["iid_bs"](corr, np.random.default_rng(7))
+    assert np.array_equal(v, np.ones(corr.n_ris))
+    assert np.array_equal(w, bl.random_combiner(corr,
+                                                np.random.default_rng(7)))
+    assert info["iterations"] == 0
 
 
 def test_no_ris_design_zeroes_the_surface():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ris_skg import bsum
+from ris_skg import channel_model as cm
 from ris_skg import mirror_prox as mp
 from ris_skg import problem_lift as pl
 
@@ -179,3 +180,125 @@ def test_optimize_design_returns_feasible_pair():
     assert np.vdot(w, w).real <= corr.power_alice + 1e-9
     assert np.all(np.abs(v) <= 1 + 1e-9)
     assert res.objective >= res.trace[0] - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# certificate: the statistical design maximizes every f_k
+
+
+def _top_forms(corr, prob):
+    """(m*, h*, N): the largest combiner form and the all-ones surface
+    forms over the feasible set."""
+    m_top = corr.power_alice * np.linalg.eigvalsh(corr.bs_corr)[-1]
+    return m_top, float(np.sum(corr.ris_had)), float(prob.n_ris)
+
+
+def _random_instances(count, seed):
+    """Order-one instances with rho_k up to 1; the first has an antenna
+    exactly on Bob (rho = 1), where df/dh touches zero."""
+    rng = np.random.default_rng(seed)
+    out = [oracles.random_corr(rng, n_eve=3, rho_eve_max=1.0)
+           for _ in range(count)]
+    out[0].rho_eve[0] = 1.0
+    return out
+
+
+def _paper_draws(spacing, ris_shape, count, seed):
+    cfg = cm.ScenarioConfig(ris_spacing_wavelengths=spacing,
+                            ris_shape=ris_shape)
+    rng = np.random.default_rng(seed)
+    return [cm.build_correlations(cfg, rng) for _ in range(count)]
+
+
+def test_form_oracle_matches_lifted_objective_and_partials():
+    rng = np.random.default_rng(40)
+    for corr in _random_instances(10, 41):
+        prob = pl.build_lifted(corr)
+        for _ in range(10):
+            vt, wt = oracles.random_feasible_point(rng, prob)
+            m, h, s = (wt @ prob.r_s @ wt, vt @ prob.had @ vt, vt @ vt)
+            assert np.allclose(oracles.gains_from_forms(prob, m, h, s),
+                               pl.objective(prob, vt, wt),
+                               rtol=1e-12, atol=0.0)
+            x = np.array([m, h, s])
+            partials = oracles.form_partials(prob, m, h, s)
+            for i, (value, scale) in enumerate(partials):
+                for k in range(corr.n_eve):
+                    fd = oracles.fd_grad(
+                        lambda y: oracles.gains_from_forms(prob, *y)[k],
+                        x, eps=1e-6)[i]
+                    assert fd == pytest.approx(value[k], rel=1e-5,
+                                               abs=1e-7 * scale[k])
+
+
+@pytest.mark.parametrize("source", ["random", "paper"])
+def test_certificate_partials_are_nonnegative_on_a_grid(source):
+    if source == "random":
+        corrs = _random_instances(20, 42)
+    else:
+        corrs = [c for spacing in (0.1, 0.25, 0.5)
+                 for c in _paper_draws(spacing, (5, 4), 2, 43)]
+    for corr in corrs:
+        prob = pl.build_lifted(corr)
+        m_top, h_top, n = _top_forms(corr, prob)
+        for m in np.linspace(0.0, m_top, 9):
+            for h in np.linspace(0.0, h_top, 9):
+                for s in np.linspace(0.0, n, 9):
+                    (d_m, m_scale), (d_h, h_scale), (d_s, s_scale) = \
+                        oracles.form_partials(prob, m, h, s)
+                    assert np.all(d_s >= -1e-12 * s_scale)
+                    assert np.all(d_h >= -1e-12 * h_scale)
+                d_m, m_scale = oracles.form_partials(prob, m, h, n)[0]
+                assert np.all(d_m >= -1e-12 * m_scale)
+
+
+def _assert_dominated(corr, rng, points=60):
+    """No feasible point beats the statistical design on any f_k, at
+    random points and at small perturbations of the design itself."""
+    prob = pl.build_lifted(corr)
+    w, v = bsum.statistical_design(corr)
+    vt_star, wt_star = pl.lift_vector(v), pl.lift_combiner(w)
+    best = pl.objective(prob, vt_star, wt_star)
+    assert np.allclose(best, oracles.gains_from_forms(
+        prob, *_top_forms(corr, prob)), rtol=1e-12, atol=0.0)
+    slack = 1e-12 * np.abs(best)
+    for i in range(points):
+        vt, wt = oracles.random_feasible_point(
+            rng, prob, unit_modulus=i % 3 == 0, full_power=i % 2 == 0)
+        assert np.all(pl.objective(prob, vt, wt) <= best + slack)
+        eps = 10.0 ** -rng.uniform(1, 6)
+        vt = pl.project_discs(vt_star + eps * rng.standard_normal(vt.size))
+        wt = pl.project_ball(wt_star + eps * rng.standard_normal(wt.size),
+                             prob.power_alice)
+        assert np.all(pl.objective(prob, vt, wt) <= best + slack)
+
+
+def test_statistical_design_dominates_feasible_points():
+    rng = np.random.default_rng(44)
+    for corr in _random_instances(40, 45):
+        _assert_dominated(corr, rng)
+
+
+@pytest.mark.parametrize("spacing", [0.1, 0.25, 0.5])
+@pytest.mark.parametrize("ris_shape", [(5, 4), (5, 12)])
+def test_statistical_design_dominates_at_paper_scale(spacing, ris_shape):
+    rng = np.random.default_rng(46)
+    for corr in _paper_draws(spacing, ris_shape, 3, 47):
+        _assert_dominated(corr, rng)
+
+
+def test_bsum_never_ends_above_the_certified_value():
+    rng = np.random.default_rng(48)
+    for corr in _random_instances(5, 49):
+        prob = pl.build_lifted(corr)
+        w, v = bsum.statistical_design(corr)
+        certified = pl.min_objective(prob, pl.lift_vector(v),
+                                     pl.lift_combiner(w))
+        for _ in range(2):
+            vt, wt = oracles.random_feasible_point(rng, prob)
+            res = bsum.bsum_solve(prob, vt, wt, tol=1e-6, max_iters=20,
+                                  inner_max_iters=300)
+            assert res.objective <= certified + 1e-12 * abs(certified)
+        # started at the certified design, the solver has nowhere to go
+        res = bsum.bsum_solve(prob, pl.lift_vector(v), pl.lift_combiner(w))
+        assert res.objective == pytest.approx(certified, rel=1e-12)

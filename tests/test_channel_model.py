@@ -1,5 +1,7 @@
 """Configuration parsing and second-order channel statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,25 @@ def test_correlation_set_rejects_rho_outside_unit_interval(rho):
             rho_eve=np.array([0.5, rho]),
             power_alice=corr.power_alice, power_bob=corr.power_bob,
             noise_power=corr.noise_power)
+
+
+def _rephased(mat, rng):
+    """D R D^H with a random diagonal phase D: Hermitian, positive
+    semidefinite and complex, with the same magnitudes as R."""
+    d = np.exp(2j * np.pi * rng.uniform(size=mat.shape[0]))
+    return d[:, None] * mat * np.conj(d)[None, :]
+
+
+@pytest.mark.parametrize("name", ["bs_corr", "ris_corr"])
+def test_correlation_set_rejects_complex_correlation(name):
+    rng = np.random.default_rng(5)
+    corr = oracles.random_corr(rng, n_eve=2)
+    mat = getattr(corr, name)
+    with pytest.raises(ValueError, match=name):
+        replace(corr, **{name: _rephased(mat, rng)})
+    # a complex dtype with zero imaginary parts is the real matrix
+    real = getattr(replace(corr, **{name: mat.astype(complex)}), name)
+    assert real.dtype == float and np.array_equal(real, mat)
 
 
 def test_simulate_probing_matches_analytic_covariance():

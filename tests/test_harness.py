@@ -10,7 +10,6 @@ import pytest
 from ris_skg import cli
 from ris_skg import harness as hn
 from ris_skg.channel_model import ConfigError
-from ris_skg.mirror_prox import DivergenceError
 
 # a small but complete scenario for artifact tests
 _TINY = """
@@ -170,17 +169,6 @@ def test_results_are_byte_deterministic(tmp_path):
     assert man_a == man_b
 
 
-def test_convergence_experiment_traces(tmp_path):
-    cfg = _tiny_cfg(trials=1)
-    info = hn.run_experiment("convergence", cfg, str(tmp_path))
-    rows = hn.read_csv_rows(info["results"])
-    assert all(r["method"] == "optimized" for r in rows)
-    its = [int(r["sweep_value"]) for r in rows]
-    assert its == list(range(len(rows)))  # one row per outer iteration
-    rates = [float(r["min_kgr_bits"]) for r in rows]
-    assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
-
-
 def test_bdr_experiment_artifacts(tmp_path):
     cfg = _tiny_cfg(probe_rounds=2000, trials=1, methods=("optimized",))
     info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
@@ -213,6 +201,16 @@ def test_unknown_experiment_and_method_rejected(tmp_path):
         hn.run_experiment("kgr_vs_power", cfg, str(tmp_path))
 
 
+def test_bad_last_sweep_point_fails_before_any_trial(tmp_path, monkeypatch):
+    def no_trial(cfg, rng):
+        raise AssertionError("a trial started before the sweep was checked")
+
+    monkeypatch.setattr(hn, "build_correlations", no_trial)
+    cfg = _tiny_cfg(sweep_ris_shapes=((2, 2), (3, 2), (0, 4)))
+    with pytest.raises(ConfigError, match="array shapes"):
+        hn.run_experiment("kgr_vs_n", cfg, str(tmp_path))
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -240,6 +238,10 @@ def test_cli_runs_experiment(tmp_path, capsys):
     "sweep_power_dbm = nan",
     "methods =",
     "seed = -1",
+    "power_alice_dbm = 1e6",
+    "noise_dbm = 1e6",
+    "ref_gain_db = 1e6",
+    "sweep_power_dbm = 10, 1e6",
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
@@ -261,17 +263,6 @@ def test_cli_rejects_missing_config(tmp_path, capsys):
     rc = cli.main(["kgr_vs_power", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path / "run")])
     assert rc == 2
-
-
-def test_cli_reports_divergence(tmp_path, monkeypatch, capsys):
-    def blow_up(experiment, cfg, out_dir):
-        raise DivergenceError("step distance grew")
-
-    monkeypatch.setattr(hn, "run_experiment", blow_up)
-    rc = cli.main(["kgr_vs_power", "--preset", "desk",
-                   "--out", str(tmp_path / "run")])
-    assert rc == 3
-    assert "divergence" in capsys.readouterr().err
 
 
 def test_cli_requires_subcommand():
