@@ -1,6 +1,7 @@
 #!/bin/sh
 # Run every experiment at desk scale (reduced trials, capped array sizes).
-# Finishes in a few minutes; artifacts land under runs/desk/<experiment>/.
+# Takes 9-12 s on a 2-core box with one BLAS thread; artifacts land under
+# runs/desk/<experiment>/.
 set -e
 
 out="${1:-runs/desk}"

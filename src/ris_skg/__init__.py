@@ -4,7 +4,7 @@ generation over spatially correlated channels."""
 __version__ = "0.1.0"
 
 from .channel_model import (ConfigError, ScenarioConfig, build_correlations,
-                            load_config, sample_channels, simulate_probing)
+                            load_config, simulate_probing)
 from .kgr_core import kgr_bits, min_kgr_bits
 from .bsum import optimize_design, statistical_design
 from .harness import run_experiment
@@ -14,7 +14,6 @@ __all__ = [
     "ScenarioConfig",
     "build_correlations",
     "load_config",
-    "sample_channels",
     "simulate_probing",
     "kgr_bits",
     "min_kgr_bits",

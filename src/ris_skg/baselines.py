@@ -58,32 +58,6 @@ def projected_subgradient(prob, vt0, wt0, step_scale=0.5, iters=500):
     return best[0], best[1], best_val, np.asarray(trace)
 
 
-def grid_search_phases(prob, wt, n_grid=32):
-    """Exhaustive unit-modulus phase search for very small surfaces.
-
-    The objective is invariant to a common phase, so the first element is
-    pinned to phase zero and the remaining N-1 phases are swept on a
-    uniform grid.  Only practical for N <= 3.
-    """
-    n = prob.n_ris
-    if n > 3:
-        raise ValueError("phase grid search is only supported for N <= 3")
-    grid = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    best_val = -np.inf
-    best_vt = None
-    mesh = np.meshgrid(*([grid] * (n - 1)), indexing="ij") if n > 1 else []
-    combos = (np.stack([m.ravel() for m in mesh], axis=1) if n > 1
-              else np.zeros((1, 0)))
-    for row in combos:
-        v = np.exp(1j * np.concatenate([[0.0], row]))
-        vt = pl.lift_vector(v)
-        val = pl.min_objective(prob, vt, wt)
-        if val > best_val:
-            best_val = val
-            best_vt = vt
-    return best_vt, best_val
-
-
 # ---------------------------------------------------------------------------
 # registry used by the experiment harness
 

@@ -12,7 +12,8 @@ depending on their separation in wavelengths.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -94,6 +95,14 @@ class ScenarioConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if not self.methods:
             raise ConfigError("methods must name at least one design")
+        # result rows are keyed by method and sweep value (element count for
+        # a shape), so a repeat would write rows that cannot be told apart
+        for name in ("methods", "sweep_power_dbm", "sweep_ris_shapes",
+                     "sweep_bs_shapes", "sweep_eve_radius_m"):
+            keys = [np.prod(k) if name.endswith("_shapes") else k
+                    for k in getattr(self, name)]
+            if len(set(keys)) < len(keys):
+                raise ConfigError(f"{name} repeats a value")
         if min(self.bs_shape) < 1 or min(self.ris_shape) < 1:
             raise ConfigError("array shapes must have positive element counts")
         if not 0.0 <= self.bs_corr < 1.0:
@@ -273,11 +282,15 @@ def path_loss_gain(distance_m, exponent, ref_gain, amplitude=True):
     return np.sqrt(g) if amplitude else g
 
 
-def _psd_sqrt(mat, name="matrix"):
-    vals, vecs = np.linalg.eigh(mat)
+def _check_psd(vals, name):
     if vals.min() < -1e-8 * max(vals.max(), 1.0):
         raise ValueError(f"{name} is not positive semidefinite "
                          f"(min eigenvalue {vals.min():.3e})")
+
+
+def _psd_sqrt(mat, name="matrix"):
+    vals, vecs = np.linalg.eigh(mat)
+    _check_psd(vals, name)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
@@ -294,8 +307,9 @@ class CorrelationSet:
     normalized surface and direct channels of Eve antenna k have
     cross-covariance rho_k I with Bob's, so its surface-side cross matrix
     is rho_k (R_ris o R_ris) and its base-station-side one rho_k R_bs.
-    ``bs_corr`` and ``ris_corr`` must be real; a complex one with a
-    non-zero imaginary part raises ValueError.
+    ``bs_corr`` and ``ris_corr`` must be real and positive semidefinite;
+    anything else raises ValueError.  Their square roots, which only
+    probing reads, and R_ris o R_ris are computed on first use.
     """
 
     bs_corr: np.ndarray
@@ -309,10 +323,6 @@ class CorrelationSet:
     power_alice: float
     power_bob: float
     noise_power: float
-    bs_corr_sqrt: np.ndarray = field(default=None, repr=False)
-    ris_corr_sqrt: np.ndarray = field(default=None, repr=False)
-    ris_had: np.ndarray = field(default=None, repr=False)
-    eve_positions: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         # the gains use R o R and plain transposes: right for real R only
@@ -321,17 +331,24 @@ class CorrelationSet:
             if np.iscomplexobj(mat) and np.any(mat.imag != 0):
                 raise ValueError(f"{name} must be real")
             setattr(self, name, mat.real)
+            _check_psd(np.linalg.eigvalsh(mat.real), name)
         self.beta_ae = np.atleast_1d(np.asarray(self.beta_ae, dtype=float))
         self.beta_re = np.atleast_1d(np.asarray(self.beta_re, dtype=float))
         self.rho_eve = np.atleast_1d(np.asarray(self.rho_eve, dtype=float))
         if not np.all((self.rho_eve >= 0.0) & (self.rho_eve <= 1.0)):
             raise ValueError("rho_eve must lie in [0, 1]")
-        if self.bs_corr_sqrt is None:
-            self.bs_corr_sqrt = _psd_sqrt(self.bs_corr, "bs_corr")
-        if self.ris_corr_sqrt is None:
-            self.ris_corr_sqrt = _psd_sqrt(self.ris_corr, "ris_corr")
-        if self.ris_had is None:
-            self.ris_had = self.ris_corr * self.ris_corr
+
+    @cached_property
+    def bs_corr_sqrt(self):
+        return _psd_sqrt(self.bs_corr, "bs_corr")
+
+    @cached_property
+    def ris_corr_sqrt(self):
+        return _psd_sqrt(self.ris_corr, "ris_corr")
+
+    @cached_property
+    def ris_had(self):
+        return self.ris_corr * self.ris_corr
 
     @property
     def n_bs(self):
@@ -404,7 +421,6 @@ def build_correlations(config, rng):
         power_alice=config.power_alice_w,
         power_bob=config.power_bob_w,
         noise_power=config.noise_power_w,
-        eve_positions=eve,
     )
 
 
@@ -420,43 +436,6 @@ def _cn(rng, *shape):
             / np.sqrt(2.0))
 
 
-@dataclass
-class ChannelRealization:
-    """One small-scale fading draw: base-station/surface cascade, direct
-    links, and Eve's correlated copies."""
-
-    g_ar: np.ndarray      # (M, N) Alice->surface two-hop factor
-    h_rb: np.ndarray      # (N,)  surface->Bob
-    h_ab: np.ndarray      # (M,)  Alice->Bob direct
-    h_re: np.ndarray      # (K, N) surface->Eve antennas
-    h_ae: np.ndarray      # (K, M) Alice->Eve direct
-
-
-def sample_channels(corr, rng):
-    """Draw one ChannelRealization consistent with the correlation set.
-
-    Eve's normalized channels are generated from Bob's so that
-    E{conj(h~_re,k) h~_rb^T} = rho_k I and E{h~_ab conj(h~_ae,k)^T} = rho_k I.
-    """
-    m, n, k = corr.n_bs, corr.n_ris, corr.n_eve
-
-    h_mat = _cn(rng, m, n)
-    g_ar = np.sqrt(corr.beta_ar) * corr.bs_corr_sqrt @ h_mat @ corr.ris_corr_sqrt
-
-    tilde_rb = _cn(rng, n)
-    tilde_ab = _cn(rng, m)
-    h_rb = np.sqrt(corr.beta_rb) * corr.ris_corr_sqrt @ tilde_rb
-    h_ab = np.sqrt(corr.beta_ab) * corr.bs_corr_sqrt @ tilde_ab
-
-    rho = corr.rho_eve[:, None]
-    mix = np.sqrt(np.clip(1.0 - rho ** 2, 0.0, None))
-    tilde_re = np.conj(rho * np.conj(tilde_rb)[None, :] + mix * _cn(rng, k, n))
-    tilde_ae = rho * tilde_ab[None, :] + mix * _cn(rng, k, m)
-    h_re = np.sqrt(corr.beta_re)[:, None] * tilde_re @ corr.ris_corr_sqrt
-    h_ae = np.sqrt(corr.beta_ae)[:, None] * tilde_ae @ corr.bs_corr_sqrt
-    return ChannelRealization(g_ar, h_rb, h_ab, h_re, h_ae)
-
-
 def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
     """Simulate probing rounds and return the three observation sequences.
 
@@ -467,8 +446,9 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
     value is None; Alice's and Bob's sequences are the same either way.
 
     Each round draws only the sufficient statistics of its observations;
-    the joint law is that of full channel draws (``sample_channels``),
-    by the unitary invariance of i.i.d. CN(0, 1) entries:
+    the joint law is that of full channel draws (``sample_channels`` in
+    ``tests/oracles.py``), by the unitary invariance of i.i.d. CN(0, 1)
+    entries:
 
     * Cascade.  With G = sqrt(beta_ar) R_bs^1/2 H R_ris^1/2, the row
       w^T G equals sqrt(beta_ar) ||R_bs^1/2T w|| z^T R_ris^1/2 in law,

@@ -1,13 +1,12 @@
 """Secret-key rate of the probing scheme.
 
-All rates are bits per probing round, computed as the conditional mutual
-information I(alice ; bob | eve_k) of the jointly Gaussian observation
-triple.  Three algebraically equivalent routes are provided: a determinant
-form straight from the definition, an expanded scalar form, and a reduced
-form in which the eavesdropper's own channel power cancels out.  The reduced
-form shows that at fixed combiner norm the per-eavesdropper rate is a
-monotone function of a single effective gain, so a max-min design can work
-on that gain directly.
+All rates are bits per probing round: the conditional mutual information
+I(alice ; bob | eve_k) of the jointly Gaussian observation triple, in a
+reduced form where the eavesdropper's own channel power cancels out.  At
+fixed combiner norm the per-eavesdropper rate is a monotone function of a
+single effective gain, so a max-min design can work on that gain directly.
+The determinant form straight from the definition, and the expanded
+scalar form, are test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,20 +34,6 @@ class GainTriple:
         self.cross = np.atleast_1d(np.asarray(self.cross, dtype=complex))
 
 
-@dataclass
-class CovarianceBlocks:
-    """Entries of the per-eavesdropper 3x3 observation covariance."""
-
-    aa: float
-    bb: float
-    ab: float
-    ee: np.ndarray
-    be: np.ndarray
-    ae: np.ndarray
-    noise_power: float
-    combiner_sq: float
-
-
 def effective_gains(corr, w, v):
     """Second-order statistics of the probed scalars for a design (w, v).
 
@@ -68,61 +53,6 @@ def effective_gains(corr, w, v):
         q_v * np.sqrt(corr.beta_cascade * corr.beta_cascade_eve)
         + np.sqrt(corr.beta_ab * corr.beta_ae))
     return GainTriple(float(legit), eve, cross)
-
-
-def covariance_blocks(corr, w, v):
-    g = effective_gains(corr, w, v)
-    w = np.asarray(w, dtype=complex)
-    wsq = float(np.real(w @ np.conj(w)))
-    pb = corr.power_bob
-    sig2 = corr.noise_power
-    return CovarianceBlocks(
-        aa=pb * g.legit + wsq * sig2,
-        bb=g.legit + sig2,
-        ab=np.sqrt(pb) * g.legit,
-        ee=g.eve + sig2,
-        be=g.cross.copy(),
-        ae=np.sqrt(pb) * g.cross,
-        noise_power=sig2,
-        combiner_sq=wsq,
-    )
-
-
-def kgr_determinant(blocks):
-    """Key rate per eavesdropper antenna from covariance determinants.
-
-    I(a; b | e) = log2[ det(S_ae) det(S_be) / (det(S_abe) det(S_e)) ] for
-    the circularly symmetric Gaussian triple.  Returns an array over k.
-    """
-    k = blocks.ee.shape[0]
-    rates = np.empty(k)
-    for i in range(k):
-        full = np.array([
-            [blocks.aa, blocks.ab, blocks.ae[i]],
-            [np.conj(blocks.ab), blocks.bb, blocks.be[i]],
-            [np.conj(blocks.ae[i]), np.conj(blocks.be[i]), blocks.ee[i]],
-        ])
-        s_ae = full[np.ix_([0, 2], [0, 2])]
-        s_be = full[np.ix_([1, 2], [1, 2])]
-        _, ld_ae = np.linalg.slogdet(s_ae)
-        _, ld_be = np.linalg.slogdet(s_be)
-        _, ld_full = np.linalg.slogdet(full)
-        ld_e = np.log(np.real(blocks.ee[i]))
-        rates[i] = (ld_ae + ld_be - ld_full - ld_e) / np.log(2.0)
-    return rates
-
-
-def kgr_closed_form(gains, power_bob, combiner_sq, noise_power):
-    """Key rate as an explicit scalar expression in the effective gains."""
-    gu = gains.legit
-    ge = np.asarray(gains.eve, dtype=float)
-    a2 = np.abs(np.asarray(gains.cross)) ** 2
-    pb, wsq, sig2 = power_bob, combiner_sq, noise_power
-    d = ge + sig2
-    num = (((pb * gu + wsq * sig2) * d - pb * a2)
-           * ((gu + sig2) * d - a2))
-    den = sig2 * d * ((wsq + pb) * (gu * d - a2) + wsq * sig2 * d)
-    return np.log2(num / den)
 
 
 def eve_resolved_gain(gains, noise_power):
@@ -159,31 +89,3 @@ def kgr_bits(corr, w, v):
 def min_kgr_bits(corr, w, v):
     return float(np.min(kgr_bits(corr, w, v)))
 
-
-def design_objective_complex(corr, w, v):
-    """Worst-case effective gain min_k f_k(w, v), the max-min design target."""
-    gains = effective_gains(corr, w, v)
-    return float(np.min(eve_resolved_gain(gains, corr.noise_power)))
-
-
-def empirical_covariance_blocks(alice, bob, eve, noise_power, combiner_sq):
-    """Sample covariance entries from simulated probing sequences.
-
-    ``alice`` and ``bob`` are (rounds,) complex arrays, ``eve`` is
-    (rounds, K).  E{x conj(y)} averages, no mean subtraction (the
-    observations are zero-mean by construction).
-    """
-    alice = np.asarray(alice)
-    bob = np.asarray(bob)
-    eve = np.atleast_2d(np.asarray(eve))
-    n = alice.shape[0]
-    return CovarianceBlocks(
-        aa=float(np.real(np.vdot(alice, alice)) / n),
-        bb=float(np.real(np.vdot(bob, bob)) / n),
-        ab=complex(alice @ np.conj(bob) / n),
-        ee=np.real(np.einsum("nk,nk->k", eve, np.conj(eve))) / n,
-        be=np.einsum("n,nk->k", bob, np.conj(eve)) / n,
-        ae=np.einsum("n,nk->k", alice, np.conj(eve)) / n,
-        noise_power=noise_power,
-        combiner_sq=combiner_sq,
-    )

@@ -198,28 +198,3 @@ def mirror_prox_solve(sp, x0, tol=1e-6, max_iters=2000):
         value=vals[best],
     )
 
-
-def weighted_inner_min(sp, y):
-    """Exact inner minimum over the x-domain of y' phi(x) and its argmin.
-
-    The weighted objective has isotropic curvature, so the constrained
-    minimizer is the Euclidean projection of the unconstrained one; with
-    zero curvature it is the support point of the negated gradient.
-    """
-    y = project_simplex(y)
-    t = float(sp.quad @ y)
-    lin = sp.lin.T @ y
-    if t > 0:
-        x_star = project_domain(sp, -lin / (2.0 * t))
-    elif sp.domain == "discs":
-        n = lin.shape[0] // 2
-        mag = np.hypot(lin[:n], lin[n:])
-        safe = np.where(mag > 0, mag, 1.0)
-        x_star = np.concatenate([-lin[:n] / safe, -lin[n:] / safe])
-        x_star[np.concatenate([mag, mag]) == 0] = 0.0
-    else:
-        nrm = np.linalg.norm(lin)
-        x_star = (-lin / nrm * np.sqrt(sp.power) if nrm > 0
-                  else np.zeros_like(lin))
-    val = t * (x_star @ x_star) + lin @ x_star + float(sp.const @ y)
-    return float(val), x_star

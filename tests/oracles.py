@@ -2,16 +2,20 @@
 
 Everything here is deliberately independent of the library's algorithmic
 paths: brute-force grids with certified two-sided brackets, directly
-indexed determinant formulas, finite differences, and hand-rolled random
+indexed determinant formulas, full channel draws, closed forms of the
+correlation-only design, finite differences, and hand-rolled random
 scenario builders, so each test compares two separately derived answers.
+Nothing in the package calls this module.
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
 from ris_skg import bsum
 from ris_skg import channel_model as cm
+from ris_skg import kgr_core as kc
 from ris_skg import mirror_prox as mp
 from ris_skg import problem_lift as pl
 
@@ -47,7 +51,7 @@ def certified_max_min(sp, x_candidates=(), coarse=30, rounds=14, fine=8,
 
     def visit(y):
         nonlocal best_dual, best_y, best_primal
-        val, x_star = mp.weighted_inner_min(sp, y)
+        val, x_star = weighted_inner_min(sp, y)
         if val > best_dual:
             best_dual, best_y = val, y
         best_primal = max(best_primal, mp.min_minorant(sp, x_star))
@@ -72,8 +76,101 @@ def certified_max_min(sp, x_candidates=(), coarse=30, rounds=14, fine=8,
     return best_primal, -best_dual
 
 
+def weighted_inner_min(sp, y):
+    """Exact inner minimum over the x-domain of y' phi(x) and its argmin.
+
+    The weighted objective has isotropic curvature, so the constrained
+    minimizer is the Euclidean projection of the unconstrained one; with
+    zero curvature it is the support point of the negated gradient.
+    """
+    y = mp.project_simplex(y)
+    t = float(sp.quad @ y)
+    lin = sp.lin.T @ y
+    if t > 0:
+        x_star = mp.project_domain(sp, -lin / (2.0 * t))
+    elif sp.domain == "discs":
+        n = lin.shape[0] // 2
+        mag = np.hypot(lin[:n], lin[n:])
+        safe = np.where(mag > 0, mag, 1.0)
+        x_star = np.concatenate([-lin[:n] / safe, -lin[n:] / safe])
+        x_star[np.concatenate([mag, mag]) == 0] = 0.0
+    else:
+        nrm = np.linalg.norm(lin)
+        x_star = (-lin / nrm * np.sqrt(sp.power) if nrm > 0
+                  else np.zeros_like(lin))
+    val = t * (x_star @ x_star) + lin @ x_star + float(sp.const @ y)
+    return float(val), x_star
+
+
+def grid_search_phases(prob, wt, n_grid=32):
+    """Exhaustive unit-modulus phase search for very small surfaces.
+
+    The objective is invariant to a common phase, so the first element is
+    pinned to phase zero and the remaining N-1 phases are swept on a
+    uniform grid.  Only practical for N <= 3.
+    """
+    n = prob.n_ris
+    if n > 3:
+        raise ValueError("phase grid search is only supported for N <= 3")
+    grid = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    best_val, best_vt = -np.inf, None
+    for row in itertools.product(grid, repeat=n - 1):
+        vt = pl.lift_vector(np.exp(1j * np.array([0.0, *row])))
+        val = pl.min_objective(prob, vt, wt)
+        if val > best_val:
+            best_val, best_vt = val, vt
+    return best_vt, best_val
+
+
 # ---------------------------------------------------------------------------
-# direct key-rate formula, indexed by hand
+# key-rate references: covariance entries, determinants, expanded form
+
+# entries of the per-eavesdropper 3x3 observation covariance
+CovarianceBlocks = namedtuple(
+    "CovarianceBlocks", "aa bb ab ee be ae noise_power combiner_sq")
+
+
+def covariance_blocks(corr, w, v):
+    g = kc.effective_gains(corr, w, v)
+    wsq = float(np.real(np.vdot(w, w)))
+    pb, sig2 = corr.power_bob, corr.noise_power
+    return CovarianceBlocks(
+        aa=pb * g.legit + wsq * sig2, bb=g.legit + sig2,
+        ab=np.sqrt(pb) * g.legit, ee=g.eve + sig2, be=g.cross.copy(),
+        ae=np.sqrt(pb) * g.cross, noise_power=sig2, combiner_sq=wsq)
+
+
+def empirical_covariance_blocks(alice, bob, eve, noise_power, combiner_sq):
+    """Sample covariance entries from simulated probing sequences.
+
+    ``alice`` and ``bob`` are (rounds,) complex arrays, ``eve`` is
+    (rounds, K).  E{x conj(y)} averages, no mean subtraction (the
+    observations are zero-mean by construction).
+    """
+    alice, bob = np.asarray(alice), np.asarray(bob)
+    eve = np.atleast_2d(np.asarray(eve))
+    n = alice.shape[0]
+    return CovarianceBlocks(
+        aa=float(np.real(np.vdot(alice, alice)) / n),
+        bb=float(np.real(np.vdot(bob, bob)) / n),
+        ab=complex(alice @ np.conj(bob) / n),
+        ee=np.real(np.einsum("nk,nk->k", eve, np.conj(eve))) / n,
+        be=np.einsum("n,nk->k", bob, np.conj(eve)) / n,
+        ae=np.einsum("n,nk->k", alice, np.conj(eve)) / n,
+        noise_power=noise_power, combiner_sq=combiner_sq)
+
+
+def kgr_closed_form(gains, power_bob, combiner_sq, noise_power):
+    """Key rate as an explicit scalar expression in the effective gains."""
+    gu = gains.legit
+    ge = np.asarray(gains.eve, dtype=float)
+    a2 = np.abs(np.asarray(gains.cross)) ** 2
+    pb, wsq, sig2 = power_bob, combiner_sq, noise_power
+    d = ge + sig2
+    num = (((pb * gu + wsq * sig2) * d - pb * a2)
+           * ((gu + sig2) * d - a2))
+    den = sig2 * d * ((wsq + pb) * (gu * d - a2) + wsq * sig2 * d)
+    return np.log2(num / den)
 
 
 def naive_kgr_bits(blocks):
@@ -104,6 +201,125 @@ def fd_grad(fun, x, eps=1e-6):
         step[i] = eps
         g[i] = (fun(x + step) - fun(x - step)) / (2.0 * eps)
     return g
+
+
+# ---------------------------------------------------------------------------
+# full channel draws
+
+
+# one small-scale fading draw: g_ar (M, N) Alice->surface two-hop factor,
+# h_rb (N,) surface->Bob, h_ab (M,) Alice->Bob, h_re (K, N) surface->Eve,
+# h_ae (K, M) Alice->Eve
+ChannelRealization = namedtuple("ChannelRealization",
+                                "g_ar h_rb h_ab h_re h_ae")
+
+
+def sample_channels(corr, rng):
+    """Draw one ChannelRealization consistent with the correlation set.
+
+    Eve's normalized channels are generated from Bob's so that
+    E{conj(h~_re,k) h~_rb^T} = rho_k I and E{h~_ab conj(h~_ae,k)^T} = rho_k I.
+    """
+    m, n, k = corr.n_bs, corr.n_ris, corr.n_eve
+
+    h_mat = cm._cn(rng, m, n)
+    g_ar = np.sqrt(corr.beta_ar) * corr.bs_corr_sqrt @ h_mat @ corr.ris_corr_sqrt
+
+    tilde_rb = cm._cn(rng, n)
+    tilde_ab = cm._cn(rng, m)
+    h_rb = np.sqrt(corr.beta_rb) * corr.ris_corr_sqrt @ tilde_rb
+    h_ab = np.sqrt(corr.beta_ab) * corr.bs_corr_sqrt @ tilde_ab
+
+    rho = corr.rho_eve[:, None]
+    mix = np.sqrt(np.clip(1.0 - rho ** 2, 0.0, None))
+    tilde_re = np.conj(rho * np.conj(tilde_rb)[None, :]
+                       + mix * cm._cn(rng, k, n))
+    tilde_ae = rho * tilde_ab[None, :] + mix * cm._cn(rng, k, m)
+    h_re = np.sqrt(corr.beta_re)[:, None] * tilde_re @ corr.ris_corr_sqrt
+    h_ae = np.sqrt(corr.beta_ae)[:, None] * tilde_ae @ corr.bs_corr_sqrt
+    return ChannelRealization(g_ar, h_rb, h_ab, h_re, h_ae)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the correlation-only design
+
+
+def _factor_lower(n, rho):
+    """Rayleigh-quotient lower bound on the top eigenvalue of one
+    exponential-correlation factor (the all-ones direction)."""
+    if rho == 0.0:
+        return 1.0
+    return (n * (1.0 - rho ** 2) - 2.0 * rho * (1.0 - rho ** n)) \
+        / (n * (1.0 - rho) ** 2)
+
+
+def _factor_upper(n, rho):
+    """Row-sum (Gershgorin) upper bound on the same top eigenvalue."""
+    if rho == 0.0:
+        return 1.0
+    return (1.0 + rho) * (1.0 - rho ** n) / (1.0 - rho)
+
+
+def bs_gain_bounds(shape, rho, power):
+    """Closed-form bracket (lower, upper) for the full-power combiner gain
+    power * lam_max of the planar-array correlation.
+
+    Both bounds factor over the horizontal/vertical dimensions and are
+    exact at rho = 0; at rho = 1 the correlation is all-ones and both
+    collapse to the exact value power * M.
+    """
+    n_h, n_v = int(shape[0]), int(shape[1])
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    if rho == 1.0:
+        exact = power * n_h * n_v
+        return exact, exact
+    lower = power * _factor_lower(n_h, rho) * _factor_lower(n_v, rho)
+    upper = power * _factor_upper(n_h, rho) * _factor_upper(n_v, rho)
+    return lower, upper
+
+
+def bs_gain_asymptote(rho, power):
+    """Large-array limit of the combiner gain, power ((1+rho)/(1-rho))^2."""
+    return power * ((1.0 + rho) / (1.0 - rho)) ** 2
+
+
+def eigen_bs_gain(shape, rho, power):
+    """Exact combiner gain power * lam_max via the Kronecker factors."""
+    lam_h = np.linalg.eigvalsh(cm.exp_corr_matrix(int(shape[0]), rho))[-1]
+    lam_v = np.linalg.eigvalsh(cm.exp_corr_matrix(int(shape[1]), rho))[-1]
+    return power * lam_h * lam_v
+
+
+def _stat_design_scalars(corr):
+    x = corr.power_alice * float(np.linalg.eigvalsh(corr.bs_corr)[-1])
+    q = float(np.sum(corr.ris_corr ** 2))   # ||R||_F^2 = all-ones form of RoR
+    return x, q
+
+
+def legit_channel_gain(corr):
+    """Legitimate effective gain achieved by the correlation-only design."""
+    x, q = _stat_design_scalars(corr)
+    return x * (corr.beta_cascade * q + corr.beta_ab)
+
+
+def worst_case_leakage(corr):
+    """Per-eavesdropper leakage term of the correlation-only design,
+    |cross gain|^2 / (eve gain + noise), as an explicit expression."""
+    x, q = _stat_design_scalars(corr)
+    num = (corr.rho_eve ** 2) * x ** 2 * (
+        q * np.sqrt(corr.beta_cascade * corr.beta_cascade_eve)
+        + np.sqrt(corr.beta_ab * corr.beta_ae)) ** 2
+    den = x * (corr.beta_cascade_eve * q + corr.beta_ae) + corr.noise_power
+    return num / den
+
+
+def statistical_design_rate(corr):
+    """Per-eavesdropper key rates of the correlation-only design from the
+    closed forms alone (no sampling, no solver)."""
+    f = legit_channel_gain(corr) - worst_case_leakage(corr)
+    return kc.kgr_from_summary(f, corr.power_bob, corr.power_alice,
+                               corr.noise_power)
 
 
 # ---------------------------------------------------------------------------

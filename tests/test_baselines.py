@@ -62,7 +62,7 @@ def test_grid_search_is_exhaustive_on_tiny_surfaces():
     prob = pl.build_lifted(corr)
     wt = pl.lift_combiner(statistical_design(corr)[0])
     n_grid = 16
-    vt_best, val_best = bl.grid_search_phases(prob, wt, n_grid=n_grid)
+    vt_best, val_best = oracles.grid_search_phases(prob, wt, n_grid=n_grid)
     # re-enumerate the same grid by hand
     phases = 2.0 * np.pi * np.arange(n_grid) / n_grid
     manual = max(
@@ -72,7 +72,7 @@ def test_grid_search_is_exhaustive_on_tiny_surfaces():
     assert val_best == pytest.approx(manual)
     assert val_best == pytest.approx(pl.min_objective(prob, vt_best, wt))
     with pytest.raises(ValueError):
-        bl.grid_search_phases(pl.build_lifted(
+        oracles.grid_search_phases(pl.build_lifted(
             oracles.random_corr(rng, n_ris=4)), wt)
 
 
@@ -95,7 +95,7 @@ def test_solver_refines_grid_maximizer():
     prob = pl.build_lifted(corr)
     w, _ = statistical_design(corr)
     wt = pl.lift_combiner(w)
-    vt_grid, grid_val = bl.grid_search_phases(prob, wt, n_grid=64)
+    vt_grid, grid_val = oracles.grid_search_phases(prob, wt, n_grid=64)
     from ris_skg.bsum import bsum_solve
     res = bsum_solve(prob, vt_grid, wt, blocks="v", tol=1e-10, max_iters=300)
     # warm-started at the exhaustive-grid winner, the monotone solver can

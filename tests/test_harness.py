@@ -242,6 +242,11 @@ def test_cli_runs_experiment(tmp_path, capsys):
     "noise_dbm = 1e6",
     "ref_gain_db = 1e6",
     "sweep_power_dbm = 10, 1e6",
+    "sweep_power_dbm = 10, 10",
+    "sweep_ris_shapes = 5x4, 4x5",
+    "sweep_bs_shapes = 5x2, 2x5",
+    "sweep_eve_radius_m = 1, 1.0",
+    "methods = optimized, optimized",
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
