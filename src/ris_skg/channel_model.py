@@ -93,6 +93,11 @@ class ScenarioConfig:
         for f in fields(self):
             if f.name != "methods" and not np.isfinite(getattr(self, f.name)).all():
                 raise ConfigError(f"{f.name} must be finite")
+        # every link's path loss divides by its length
+        for a, b in (("alice_pos", "bob_pos"), ("alice_pos", "ris_pos"),
+                     ("bob_pos", "ris_pos")):
+            if np.array_equal(getattr(self, a), getattr(self, b)):
+                raise ConfigError(f"{a} and {b} must be different points")
         if not self.methods:
             raise ConfigError("methods must name at least one design")
         # result rows are keyed by method and sweep value (element count for

@@ -26,12 +26,12 @@ from .channel_model import (ConfigError, build_correlations, config_hash,
                             dbm_to_watts, parse_config_text, simulate_probing)
 from .kgr_core import min_kgr_bits
 
-RESULTS_SCHEMA = 1
+RESULTS_SCHEMA = 2
 BDR_SCHEMA = 1
 TIMINGS_SCHEMA = 1
 
 RESULT_COLUMNS = ("experiment", "sweep_value", "trial", "method",
-                  "min_kgr_bits", "iterations", "seed")
+                  "min_kgr_bits", "seed")
 BDR_COLUMNS = ("experiment", "sweep_value", "trial", "method", "bdr",
                "p_frequency", "p_runs", "n_bits", "seed")
 TIMING_COLUMNS = ("experiment", "sweep_value", "trial", "method",
@@ -52,7 +52,6 @@ PRESETS = {
         "bs_corr": 0.2,
         "trials": 50,
         "probe_rounds": 20000,
-        "inner_max_iters": 1000,
         "sweep_power_dbm": (10.0, 20.0, 30.0),
         "sweep_ris_shapes": ((5, 2), (5, 4), (5, 8)),
         "sweep_bs_shapes": ((5, 1), (5, 2), (5, 4)),
@@ -245,14 +244,13 @@ def _run_sweep(cfg, experiment):
             for mi, method in enumerate(sub.methods):
                 seeds = [sub.seed, trial, si, mi]
                 t0 = time.perf_counter()
-                w, v, info = DESIGN_METHODS[method](
+                w, v = DESIGN_METHODS[method](
                     corr, np.random.default_rng(seeds))
                 if experiment == "bdr_vs_power":
                     record = _probe_record(corr, w, v, seeds,
                                            sub.probe_rounds)
                 else:
-                    record = (min_kgr_bits(corr, w, v),
-                              info.get("iterations", 0))
+                    record = (min_kgr_bits(corr, w, v),)
                 ms = (time.perf_counter() - t0) * 1e3
                 rows.append((experiment, sval, trial, method, *record,
                              sub.seed))

@@ -122,6 +122,39 @@ def grid_search_phases(prob, wt, n_grid=32):
     return best_vt, best_val
 
 
+def projected_subgradient(prob, vt0, wt0, step_scale=0.5, iters=500):
+    """Joint normalized subgradient ascent on the worst-case gain.
+
+    Follows the gradient of the currently-worst eavesdropper (smallest
+    index on ties) with a step_scale/sqrt(t) step, projecting both blocks
+    after each move; returns the best visited point since the iteration is
+    not monotone.  An independent check for any solver of the lifted
+    problem.
+    """
+    vt = pl.project_discs(np.asarray(vt0, dtype=float))
+    wt = pl.project_ball(np.asarray(wt0, dtype=float), prob.power_alice)
+    best = (vt.copy(), wt.copy())
+    best_val = pl.min_objective(prob, vt, wt)
+    trace = [best_val]
+    for t in range(1, iters + 1):
+        terms = pl.objective_terms(prob, vt, wt)
+        k = int(np.argmin(terms.f))
+        g_v = pl.grad_v(prob, vt, wt, terms=terms)[k]
+        g_w = pl.grad_w(prob, vt, wt, terms=terms)[k]
+        norm = np.sqrt(g_v @ g_v + g_w @ g_w)
+        if norm == 0:
+            break
+        step = step_scale / np.sqrt(t) / norm
+        vt = pl.project_discs(vt + step * g_v)
+        wt = pl.project_ball(wt + step * g_w, prob.power_alice)
+        val = pl.min_objective(prob, vt, wt)
+        trace.append(val)
+        if val > best_val:
+            best_val = val
+            best = (vt.copy(), wt.copy())
+    return best[0], best[1], best_val, np.asarray(trace)
+
+
 # ---------------------------------------------------------------------------
 # key-rate references: covariance entries, determinants, expanded form
 

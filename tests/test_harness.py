@@ -9,6 +9,7 @@ import pytest
 
 from ris_skg import cli
 from ris_skg import harness as hn
+from ris_skg import problem_lift as pl
 from ris_skg.channel_model import ConfigError
 
 # a small but complete scenario for artifact tests
@@ -18,7 +19,6 @@ ris_shape = 3x2
 eve_count = 2
 trials = 2
 probe_rounds = 400
-inner_max_iters = 200
 methods = optimized, no_ris
 sweep_power_dbm = 10, 20
 sweep_ris_shapes = 2x2, 3x2
@@ -128,7 +128,7 @@ def test_design_sweep_artifacts(tmp_path):
 
     with open(info["results"], "r", encoding="utf-8") as fh:
         first, second, header = fh.readline(), fh.readline(), fh.readline()
-    assert first.strip() == "# results-schema=1"
+    assert first.strip() == "# results-schema=2"
     assert second.strip() == "# experiment=kgr_vs_power"
     assert tuple(header.strip().split(",")) == hn.RESULT_COLUMNS
 
@@ -211,6 +211,19 @@ def test_bad_last_sweep_point_fails_before_any_trial(tmp_path, monkeypatch):
         hn.run_experiment("kgr_vs_n", cfg, str(tmp_path))
 
 
+def test_no_experiment_runs_an_iterative_solver(tmp_path, monkeypatch):
+    # BSUM and the projected-subgradient check both start by lifting the
+    # problem; the experiments run the closed-form designs only
+    def no_lift(corr):
+        raise AssertionError("an experiment lifted the design problem")
+
+    monkeypatch.setattr(pl, "build_lifted", no_lift)
+    cfg = _tiny_cfg(trials=1, methods=tuple(hn.DESIGN_METHODS))
+    for experiment in hn.EXPERIMENTS:
+        info = hn.run_experiment(experiment, cfg, str(tmp_path / experiment))
+        assert info["rows"] == 2 * len(cfg.methods)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -247,6 +260,9 @@ def test_cli_runs_experiment(tmp_path, capsys):
     "sweep_bs_shapes = 5x2, 2x5",
     "sweep_eve_radius_m = 1, 1.0",
     "methods = optimized, optimized",
+    "bob_pos = 5, 0, 20",
+    "ris_pos = 3, 100, 0",
+    "ris_pos = 5, 0, 20",
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
