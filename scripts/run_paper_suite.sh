@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full-averaging reproduction: 1000 trials per sweep point at the largest
-# array sizes.  Estimated at 0.07 h on a 2-core box with one BLAS thread
-# (0.02-0.03 h of design experiments, 0.04-0.05 h of bdr_vs_power; see
+# array sizes.  Estimated at 0.04-0.05 h on a 2-core box with one BLAS
+# thread (under 0.01 h of design experiments, 0.04 h of bdr_vs_power; see
 # the estimates printed by perfbench/run.py --workload paper_design_sweep
 # and --workload paper_probing).  Run the desk suite first to check the
 # setup.

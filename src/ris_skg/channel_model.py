@@ -12,8 +12,9 @@ depending on their separation in wavelengths.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -34,6 +35,15 @@ def dbm_to_watts(x_dbm):
 def db_to_linear(x_db):
     with np.errstate(over="ignore"):
         return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+
+
+def _finite(value):
+    """``np.isfinite(value).all()``, in plain Python for config scalars."""
+    if isinstance(value, (int, float)):
+        return math.isfinite(value)
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    return bool(np.isfinite(value).all())
 
 
 @dataclass
@@ -91,12 +101,12 @@ class ScenarioConfig:
 
     def validate(self):
         for f in fields(self):
-            if f.name != "methods" and not np.isfinite(getattr(self, f.name)).all():
+            if f.name != "methods" and not _finite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
         # every link's path loss divides by its length
         for a, b in (("alice_pos", "bob_pos"), ("alice_pos", "ris_pos"),
                      ("bob_pos", "ris_pos")):
-            if np.array_equal(getattr(self, a), getattr(self, b)):
+            if tuple(getattr(self, a)) == tuple(getattr(self, b)):
                 raise ConfigError(f"{a} and {b} must be different points")
         if not self.methods:
             raise ConfigError("methods must name at least one design")
@@ -104,7 +114,7 @@ class ScenarioConfig:
         # a shape), so a repeat would write rows that cannot be told apart
         for name in ("methods", "sweep_power_dbm", "sweep_ris_shapes",
                      "sweep_bs_shapes", "sweep_eve_radius_m"):
-            keys = [np.prod(k) if name.endswith("_shapes") else k
+            keys = [k[0] * k[1] if name.endswith("_shapes") else k
                     for k in getattr(self, name)]
             if len(set(keys)) < len(keys):
                 raise ConfigError(f"{name} repeats a value")
@@ -164,8 +174,8 @@ def _parse_shape(text):
 def parse_config_values(text):
     """Parse flat ``key = value`` lines into a dict of config fields.
 
-    Unknown keys and malformed values raise ConfigError.  dBm/dB keys are
-    converted to linear units here and nowhere else.
+    Unknown keys, malformed values and a field set twice (by its own key or
+    its dB key) raise ConfigError.  dBm/dB keys are converted here only.
     """
     known = {f.name for f in fields(ScenarioConfig)}
     values = {}
@@ -177,6 +187,8 @@ def parse_config_values(text):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if (field := _DB_KEYS.get(key, key)) in values:
+            raise ConfigError(f"line {lineno}: {field} is already set")
         if key in _DB_KEYS:
             conv = dbm_to_watts if key.endswith("_dbm") else db_to_linear
             try:
@@ -248,11 +260,24 @@ def exp_corr_matrix(n, rho):
     return toeplitz(rho ** np.arange(n)).astype(float)
 
 
+# Array statistics depend on the geometry alone, so the trials of a sweep point
+# share them: the matrices and the eigendecompositions (read by the PSD check,
+# the square roots and the correlation-only design) are memoized, read-only.
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 def bs_correlation(shape, rho):
     """Planar-array correlation as the Kronecker product of the horizontal
     and vertical exponential factors (horizontal-major element order)."""
+    return _bs_correlation(tuple(map(int, shape)), float(rho))
+
+
+@lru_cache(maxsize=4)
+def _bs_correlation(shape, rho):
     n_h, n_v = shape
-    return np.kron(exp_corr_matrix(n_h, rho), exp_corr_matrix(n_v, rho))
+    return _frozen(np.kron(exp_corr_matrix(n_h, rho), exp_corr_matrix(n_v, rho)))
 
 
 def ris_element_positions(shape, spacing_m):
@@ -266,9 +291,14 @@ def ris_element_positions(shape, spacing_m):
 def ris_correlation(shape, spacing_m, wavelength_m):
     """Isotropic-scattering correlation sinc(2 d / lambda) between surface
     elements at distance d (np.sinc already includes the pi factors)."""
+    return _ris_correlation(tuple(map(int, shape)), float(spacing_m), float(wavelength_m))
+
+
+@lru_cache(maxsize=4)
+def _ris_correlation(shape, spacing_m, wavelength_m):
     pos = ris_element_positions(shape, spacing_m)
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    return np.sinc(2.0 * dist / wavelength_m)
+    return _frozen(np.sinc(2.0 * dist / wavelength_m))
 
 
 def eve_cross_correlation(distance_m, wavelength_m):
@@ -293,11 +323,21 @@ def _check_psd(vals, name):
                          f"(min eigenvalue {vals.min():.3e})")
 
 
+def shared_eigh(mat):
+    """Read-only ``np.linalg.eigh(mat)``, memoized by the matrix's content."""
+    mat = np.ascontiguousarray(mat)
+    return _eigh(mat.tobytes(), mat.shape, mat.dtype.str)
+
+
+@lru_cache(maxsize=4)
+def _eigh(data, shape, dtype):
+    return tuple(map(_frozen, np.linalg.eigh(np.frombuffer(data, dtype).reshape(shape))))
+
+
 def _psd_sqrt(mat, name="matrix"):
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = shared_eigh(mat)
     _check_psd(vals, name)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +376,7 @@ class CorrelationSet:
             if np.iscomplexobj(mat) and np.any(mat.imag != 0):
                 raise ValueError(f"{name} must be real")
             setattr(self, name, mat.real)
-            _check_psd(np.linalg.eigvalsh(mat.real), name)
+            _check_psd(shared_eigh(mat.real)[0], name)
         self.beta_ae = np.atleast_1d(np.asarray(self.beta_ae, dtype=float))
         self.beta_re = np.atleast_1d(np.asarray(self.beta_re, dtype=float))
         self.rho_eve = np.atleast_1d(np.asarray(self.rho_eve, dtype=float))
@@ -386,7 +426,6 @@ def draw_eve_positions(config, rng):
     pos = np.tile(bob, (config.eve_count, 1))
     pos[:, 0] += r * np.cos(theta)
     pos[:, 1] += r * np.sin(theta)
-    pos[:, 2] = bob[2]
     return pos
 
 

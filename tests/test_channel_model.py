@@ -142,6 +142,63 @@ def test_ris_correlation_matches_pairwise_distances():
     cm._psd_sqrt(r, "ris_corr")
 
 
+def _sinc_loop(shape, spacing, lam):
+    pos = cm.ris_element_positions(shape, spacing)
+    n = pos.shape[0]
+    return np.array([[np.sinc(2.0 * np.linalg.norm(pos[i] - pos[j]) / lam)
+                      for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bs_shape", (4, 2)),
+    ("bs_corr", 0.6),
+    ("ris_shape", (3, 3)),
+    ("ris_spacing_wavelengths", 0.4),
+    ("wavelength_m", 0.3),
+])
+def test_memoized_correlations_match_fresh_ones(field, value):
+    # configs A, B, A: a memo keyed on too little would hand B's matrices
+    # to A or A's to B
+    cfg_a = cm.ScenarioConfig(eve_count=2)
+    cfg_b = replace(cfg_a, **{field: value})
+    for cfg in (cfg_a, cfg_b, cfg_a):
+        corr = cm.build_correlations(cfg, np.random.default_rng(0))
+        rho = cfg.bs_corr
+        assert np.array_equal(corr.bs_corr, np.kron(
+            cm.exp_corr_matrix(cfg.bs_shape[0], rho),
+            cm.exp_corr_matrix(cfg.bs_shape[1], rho)))
+        assert np.allclose(corr.ris_corr, _sinc_loop(
+            cfg.ris_shape, cfg.ris_spacing_wavelengths * cfg.wavelength_m,
+            cfg.wavelength_m), rtol=0.0, atol=1e-15)
+
+
+def test_memoized_correlations_are_read_only():
+    r_bs = cm.bs_correlation((3, 2), 0.4)
+    r_ris = cm.ris_correlation([5, 4], 0.031, 0.125)
+    assert r_ris.shape == (20, 20)
+    assert np.array_equal(r_ris, cm.ris_correlation(
+        (np.int64(5), np.int64(4)), 0.031, 0.125))
+    for mat in (r_bs, r_ris, *cm.shared_eigh(r_bs)):
+        with pytest.raises(ValueError):
+            mat[0, ...] = 0.0
+    # list shapes and numpy scalars pass validation and assembly as before
+    cfg = cm.ScenarioConfig(ris_shape=[5, 4], bs_shape=(np.int64(5), 3),
+                            bs_corr=np.float64(0.3), trials=np.int64(3),
+                            alice_pos=[5.0, 0.0, 20.0]).validate()
+    corr = cm.build_correlations(cfg, np.random.default_rng(0))
+    assert corr.n_ris == 20 and corr.n_bs == 15
+
+
+def test_non_psd_matrix_rejected_every_time():
+    # the eigendecomposition is memoized, the PSD verdict is not
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+    corr = oracles.random_corr(np.random.default_rng(4), n_bs=2, n_ris=3,
+                               n_eve=1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            replace(corr, bs_corr=bad)
+
+
 def test_eve_cross_correlation_values():
     lam = 0.125
     assert np.isclose(cm.eve_cross_correlation(0.0, lam), 1.0)

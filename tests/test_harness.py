@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from ris_skg import channel_model as cm
 from ris_skg import cli
 from ris_skg import harness as hn
 from ris_skg import problem_lift as pl
@@ -224,6 +225,24 @@ def test_no_experiment_runs_an_iterative_solver(tmp_path, monkeypatch):
         assert info["rows"] == 2 * len(cfg.methods)
 
 
+def test_sweep_decomposes_each_correlation_matrix_once(tmp_path, monkeypatch):
+    # R_bs and R_ris depend on the geometry alone: the trials of a sweep
+    # point share one eigendecomposition of each, however many there are
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    cm._eigh.cache_clear()
+    cfg = _tiny_cfg(trials=10)
+    hn.run_experiment("kgr_vs_n", cfg, str(tmp_path))
+    assert 0 < len(calls) <= 2 * len(cfg.sweep_ris_shapes)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -263,6 +282,9 @@ def test_cli_runs_experiment(tmp_path, capsys):
     "bob_pos = 5, 0, 20",
     "ris_pos = 3, 100, 0",
     "ris_pos = 5, 0, 20",
+    "trials = 2\ntrials = 3",
+    "power_alice_dbm = 20\npower_alice_w = 0.5",
+    "power_alice_w = 0.5\npower_alice_dbm = 20",
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
