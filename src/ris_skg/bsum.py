@@ -77,8 +77,8 @@ def curvature_w(prob, vt):
     return np.maximum(bound, CURVATURE_FLOOR)
 
 
-def build_surrogate_v(prob, vt, wt, terms=None):
-    t = pl.objective_terms(prob, vt, wt) if terms is None else terms
+def build_surrogate_v(prob, vt, wt):
+    t = pl.objective_terms(prob, vt, wt)
     return from_minorants(
         curvature=curvature_v(prob, wt),
         grads=pl.grad_v(prob, vt, wt, terms=t),
@@ -88,8 +88,8 @@ def build_surrogate_v(prob, vt, wt, terms=None):
     )
 
 
-def build_surrogate_w(prob, vt, wt, terms=None):
-    t = pl.objective_terms(prob, vt, wt) if terms is None else terms
+def build_surrogate_w(prob, vt, wt):
+    t = pl.objective_terms(prob, vt, wt)
     return from_minorants(
         curvature=curvature_w(prob, vt),
         grads=pl.grad_w(prob, vt, wt, terms=t),
@@ -222,9 +222,8 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
     )
 
 
-def optimize_design(corr, blocks="vw", tol=None, max_iters=None,
-                    inner_tol=1e-6, inner_max_iters=2000, init=None,
-                    keep_iterates=False):
+def optimize_design(corr, tol=1e-4, max_iters=200, inner_tol=1e-6,
+                    inner_max_iters=2000, init=None):
     """Optimize the design for a correlation set and return (w, v, result).
 
     ``init`` may supply a complex (w, v) warm start; the default is the
@@ -232,15 +231,7 @@ def optimize_design(corr, blocks="vw", tol=None, max_iters=None,
     """
     prob = pl.build_lifted(corr)
     w0, v0 = statistical_design(corr) if init is None else init
-    res = bsum_solve(
-        prob,
-        pl.lift_vector(v0),
-        pl.lift_combiner(w0),
-        blocks=blocks,
-        tol=1e-4 if tol is None else tol,
-        max_iters=200 if max_iters is None else max_iters,
-        inner_tol=inner_tol,
-        inner_max_iters=inner_max_iters,
-        keep_iterates=keep_iterates,
-    )
+    res = bsum_solve(prob, pl.lift_vector(v0), pl.lift_combiner(w0), tol=tol,
+                     max_iters=max_iters, inner_tol=inner_tol,
+                     inner_max_iters=inner_max_iters)
     return res.w, res.v, res

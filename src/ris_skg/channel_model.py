@@ -15,6 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -52,15 +53,15 @@ class ScenarioConfig:
 
     Positions are metres, powers watts (config files carry dBm/dB and are
     converted once at load time).  Array shapes are (horizontal, vertical)
-    element counts; the base station has ``n_bs = bs_shape[0] * bs_shape[1]``
-    antennas and the surface ``n_ris`` elements.
+    element counts.  Each field's annotation is also its config-file format
+    (see ``_parse_value``).
     """
 
-    alice_pos: tuple = (5.0, 0.0, 20.0)
-    bob_pos: tuple = (3.0, 100.0, 0.0)
-    ris_pos: tuple = (0.0, 60.0, 2.0)
-    bs_shape: tuple = (5, 3)
-    ris_shape: tuple = (5, 4)
+    alice_pos: tuple[float, float, float] = (5.0, 0.0, 20.0)
+    bob_pos: tuple[float, float, float] = (3.0, 100.0, 0.0)
+    ris_pos: tuple[float, float, float] = (0.0, 60.0, 2.0)
+    bs_shape: tuple[int, int] = (5, 3)
+    ris_shape: tuple[int, int] = (5, 4)
     bs_corr: float = 0.3
     ris_spacing_wavelengths: float = 0.25
     wavelength_m: float = 0.125
@@ -75,9 +76,9 @@ class ScenarioConfig:
     pl_exp_ris_bob: float = 2.0
     pl_exp_alice_eve: float = 4.0
     pl_exp_ris_eve: float = 2.0
-    amplitude_pathloss: bool = True
     # settings of the BSUM reference solver (bsum.optimize_design); no
-    # experiment runs it, but perfbench/checks.py passes these four
+    # experiment runs it, but perfbench/checks.py passes these four and
+    # perfbench/tests sets inner_max_iters
     bsum_tol: float = 1e-4
     bsum_max_iters: int = 200
     inner_tol: float = 1e-6
@@ -85,19 +86,11 @@ class ScenarioConfig:
     trials: int = 50
     seed: int = 1234
     probe_rounds: int = 10000
-    methods: tuple = ("optimized", "iid_ris", "no_ris")
-    sweep_power_dbm: tuple = ()
-    sweep_ris_shapes: tuple = ()
-    sweep_bs_shapes: tuple = ()
-    sweep_eve_radius_m: tuple = ()
-
-    @property
-    def n_bs(self):
-        return int(self.bs_shape[0] * self.bs_shape[1])
-
-    @property
-    def n_ris(self):
-        return int(self.ris_shape[0] * self.ris_shape[1])
+    methods: tuple[str, ...] = ("optimized", "iid_ris", "no_ris")
+    sweep_power_dbm: tuple[float, ...] = ()
+    sweep_ris_shapes: tuple[tuple[int, int], ...] = ()
+    sweep_bs_shapes: tuple[tuple[int, int], ...] = ()
+    sweep_eve_radius_m: tuple[float, ...] = ()
 
     def validate(self):
         for f in fields(self):
@@ -151,24 +144,26 @@ _DB_KEYS = {
     "ref_gain_db": "ref_gain",
 }
 
-_TUPLE3_KEYS = {"alice_pos", "bob_pos", "ris_pos"}
-_SHAPE_KEYS = {"bs_shape", "ris_shape"}
-_SHAPE_LIST_KEYS = {"sweep_ris_shapes", "sweep_bs_shapes"}
-_FLOAT_LIST_KEYS = {"sweep_power_dbm", "sweep_eve_radius_m"}
-_STR_LIST_KEYS = {"methods"}
-_INT_KEYS = {"eve_count", "bsum_max_iters", "inner_max_iters", "trials",
-             "seed", "probe_rounds"}
-_BOOL_KEYS = {"amplitude_pathloss"}
+# each field's parse kind, its annotation resolved once
+_KINDS = get_type_hints(ScenarioConfig)
 
 
-def _parse_shape(text):
-    parts = text.lower().replace("*", "x").split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"expected a HxV shape, got {text!r}")
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"bad shape {text!r}") from exc
+def _parse_value(text, kind):
+    """Read one config value as ``kind``: int, float or str; a fixed tuple,
+    written HxV for two ints (``5x3``) and comma-separated otherwise; or a
+    comma-separated ``tuple[X, ...]`` of any length."""
+    if kind in (int, float, str):
+        return kind(text.strip())
+    if get_origin(kind) is not tuple:
+        raise TypeError(f"no config format for {kind!r}")
+    args = get_args(kind)
+    if args[-1] is Ellipsis:
+        return tuple(_parse_value(p, args[0]) for p in text.split(",") if p.strip())
+    parts = (text.lower().replace("*", "x").split("x") if args == (int, int)
+             else text.split(","))
+    if len(parts) != len(args):
+        raise ValueError(f"expected {len(args)} values")
+    return tuple(map(_parse_value, parts, args))
 
 
 def parse_config_values(text):
@@ -177,7 +172,6 @@ def parse_config_values(text):
     Unknown keys, malformed values and a field set twice (by its own key or
     its dB key) raise ConfigError.  dBm/dB keys are converted here only.
     """
-    known = {f.name for f in fields(ScenarioConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -196,35 +190,13 @@ def parse_config_values(text):
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad number {val!r}") from exc
             continue
-        if key not in known:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _TUPLE3_KEYS:
-                parts = [float(p) for p in val.split(",")]
-                if len(parts) != 3:
-                    raise ConfigError(f"line {lineno}: {key} needs 3 coordinates")
-                values[key] = tuple(parts)
-            elif key in _SHAPE_KEYS:
-                values[key] = _parse_shape(val)
-            elif key in _SHAPE_LIST_KEYS:
-                values[key] = tuple(_parse_shape(p) for p in val.split(",") if p.strip())
-            elif key in _FLOAT_LIST_KEYS:
-                values[key] = tuple(float(p) for p in val.split(",") if p.strip())
-            elif key in _STR_LIST_KEYS:
-                values[key] = tuple(p.strip() for p in val.split(",") if p.strip())
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _BOOL_KEYS:
-                low = val.lower()
-                if low not in ("true", "false", "1", "0", "yes", "no"):
-                    raise ConfigError(f"line {lineno}: bad boolean {val!r}")
-                values[key] = low in ("true", "1", "yes")
-            else:
-                values[key] = float(val)
-        except ConfigError:
-            raise
+            values[key] = _parse_value(val, _KINDS[key])
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value {val!r} for {key}") from exc
+            raise ConfigError(f"line {lineno}: bad value {val!r} for {key}: "
+                              f"{exc}") from exc
     return values
 
 
@@ -236,9 +208,9 @@ def parse_config_text(text, base=None):
     return ScenarioConfig(**values).validate()
 
 
-def load_config(path, base=None):
+def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())
 
 
 def config_hash(config):
@@ -307,14 +279,10 @@ def eve_cross_correlation(distance_m, wavelength_m):
     return j0(2.0 * np.pi * np.asarray(distance_m, dtype=float) / wavelength_m) ** 2
 
 
-def path_loss_gain(distance_m, exponent, ref_gain, amplitude=True):
-    """Large-scale channel-variance factor at the given distance.
-
-    ``amplitude=True`` uses sqrt(ref_gain * d^-alpha); ``False`` uses the
-    conventional power-law ref_gain * d^-alpha.
-    """
-    g = ref_gain * np.asarray(distance_m, dtype=float) ** (-float(exponent))
-    return np.sqrt(g) if amplitude else g
+def path_loss_gain(distance_m, exponent, ref_gain):
+    """Large-scale channel-variance factor sqrt(ref_gain * d^-alpha) at the
+    given distance."""
+    return np.sqrt(ref_gain * np.asarray(distance_m, dtype=float) ** (-float(exponent)))
 
 
 def _check_psd(vals, name):
@@ -448,7 +416,6 @@ def build_correlations(config, rng):
     d_re = np.linalg.norm(eve - ris, axis=1)
     d_be = np.linalg.norm(eve - bob, axis=1)
 
-    amp = config.amplitude_pathloss
     return CorrelationSet(
         bs_corr=bs_correlation(config.bs_shape, config.bs_corr),
         ris_corr=ris_correlation(
@@ -456,11 +423,11 @@ def build_correlations(config, rng):
             config.ris_spacing_wavelengths * config.wavelength_m,
             config.wavelength_m,
         ),
-        beta_ab=float(path_loss_gain(d_ab, config.pl_exp_alice_bob, config.ref_gain, amp)),
-        beta_ar=float(path_loss_gain(d_ar, config.pl_exp_alice_ris, config.ref_gain, amp)),
-        beta_rb=float(path_loss_gain(d_rb, config.pl_exp_ris_bob, config.ref_gain, amp)),
-        beta_ae=path_loss_gain(d_ae, config.pl_exp_alice_eve, config.ref_gain, amp),
-        beta_re=path_loss_gain(d_re, config.pl_exp_ris_eve, config.ref_gain, amp),
+        beta_ab=float(path_loss_gain(d_ab, config.pl_exp_alice_bob, config.ref_gain)),
+        beta_ar=float(path_loss_gain(d_ar, config.pl_exp_alice_ris, config.ref_gain)),
+        beta_rb=float(path_loss_gain(d_rb, config.pl_exp_ris_bob, config.ref_gain)),
+        beta_ae=path_loss_gain(d_ae, config.pl_exp_alice_eve, config.ref_gain),
+        beta_re=path_loss_gain(d_re, config.pl_exp_ris_eve, config.ref_gain),
         rho_eve=eve_cross_correlation(d_be, config.wavelength_m),
         power_alice=config.power_alice_w,
         power_bob=config.power_bob_w,

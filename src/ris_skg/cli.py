@@ -52,7 +52,7 @@ def main(argv=None):
         cfg = harness.build_config(args.preset, text, args.trials, args.seed)
         out_dir = args.out or os.path.join("runs", args.experiment)
         info = harness.run_experiment(args.experiment, cfg, out_dir)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(f"{args.experiment}: wrote {info['rows']} rows")

@@ -1,6 +1,7 @@
 """Configuration parsing and second-order channel statistics."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -31,13 +32,12 @@ def test_parse_round_trip():
     methods = optimized, no_ris
     sweep_power_dbm = 10, 20, 30
     sweep_ris_shapes = 5x2, 5x4
-    amplitude_pathloss = false
     alice_pos = 1, 2, 3
     """
     cfg = cm.parse_config_text(text)
     assert cfg.bs_shape == (5, 3)
     assert cfg.ris_shape == (4, 4)
-    assert cfg.n_bs == 15 and cfg.n_ris == 16
+    assert np.prod(cfg.bs_shape) == 15 and np.prod(cfg.ris_shape) == 16
     assert cfg.bs_corr == 0.25
     assert np.isclose(cfg.power_alice_w, 0.1)
     assert np.isclose(cfg.noise_power_w, 1e-11)
@@ -45,8 +45,40 @@ def test_parse_round_trip():
     assert cfg.methods == ("optimized", "no_ris")
     assert cfg.sweep_power_dbm == (10.0, 20.0, 30.0)
     assert cfg.sweep_ris_shapes == ((5, 2), (5, 4))
-    assert cfg.amplitude_pathloss is False
     assert cfg.alice_pos == (1.0, 2.0, 3.0)
+
+
+# one non-default sample per annotation; a field of any other kind fails
+_SAMPLES = {
+    int: 7,
+    float: 0.375,
+    str: "no_ris",
+    tuple[float, float, float]: (1.5, -2.0, 3.25),
+    tuple[int, int]: (3, 2),
+    tuple[tuple[int, int], ...]: ((2, 3), (4, 1)),
+    tuple[float, ...]: (12.5, -3.0),
+    tuple[str, ...]: ("no_ris", "iid_ris"),
+}
+
+
+def _render(value, kind):
+    args = get_args(kind)
+    if args == (int, int):
+        return "{}x{}".format(*value)
+    if args and args[-1] is Ellipsis:
+        return ", ".join(_render(x, args[0]) for x in value)
+    if args:
+        return ", ".join(map(_render, value, args))
+    return str(value)
+
+
+@pytest.mark.parametrize("field", fields(cm.ScenarioConfig), ids=lambda f: f.name)
+def test_every_field_round_trips_through_config_text(field):
+    kind = get_type_hints(cm.ScenarioConfig)[field.name]
+    sample = _SAMPLES[kind]
+    assert sample != field.default
+    values = cm.parse_config_values(f"{field.name} = {_render(sample, kind)}")
+    assert repr(values) == repr({field.name: sample})
 
 
 def test_parse_base_overrides():
@@ -61,7 +93,7 @@ def test_parse_base_overrides():
     "bs_shape = axb",
     "eve_count = 1.5",
     "alice_pos = 1, 2",
-    "amplitude_pathloss = maybe",
+    "amplitude_pathloss = false",
     "trials = many",
 ])
 def test_parse_rejects_malformed_lines(bad):
@@ -209,13 +241,6 @@ def test_eve_cross_correlation_values():
     assert 0.0 <= far < 1e-2
 
 
-def test_path_loss_amplitude_versus_power_law():
-    amp = cm.path_loss_gain(40.0, 3.5, 1e-3, amplitude=True)
-    pwr = cm.path_loss_gain(40.0, 3.5, 1e-3, amplitude=False)
-    assert np.isclose(amp ** 2, pwr)
-    assert amp > pwr  # both far below 1 at this range
-
-
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -246,8 +271,9 @@ def test_build_correlations_matches_geometry():
     corr = cm.build_correlations(cfg, np.random.default_rng(7))
     pos = cm.draw_eve_positions(cfg, rng)
 
-    assert corr.bs_corr.shape == (cfg.n_bs, cfg.n_bs)
-    assert corr.ris_corr.shape == (cfg.n_ris, cfg.n_ris)
+    n_bs, n_ris = np.prod(cfg.bs_shape), np.prod(cfg.ris_shape)
+    assert corr.bs_corr.shape == (n_bs, n_bs)
+    assert corr.ris_corr.shape == (n_ris, n_ris)
     alice = np.asarray(cfg.alice_pos)
     bob = np.asarray(cfg.bob_pos)
     ris = np.asarray(cfg.ris_pos)
@@ -268,15 +294,6 @@ def test_build_correlations_matches_geometry():
         cm.path_loss_gain(np.linalg.norm(pos - ris, axis=1),
                           cfg.pl_exp_ris_eve, cfg.ref_gain))
     assert np.isclose(corr.beta_cascade, corr.beta_ar * corr.beta_rb)
-
-
-def test_build_correlations_conventional_pathloss_switch():
-    cfg_a = cm.ScenarioConfig()
-    cfg_p = cm.ScenarioConfig(amplitude_pathloss=False)
-    corr_a = cm.build_correlations(cfg_a, np.random.default_rng(1))
-    corr_p = cm.build_correlations(cfg_p, np.random.default_rng(1))
-    assert np.isclose(corr_a.beta_ab ** 2, corr_p.beta_ab)
-    assert np.isclose(corr_a.beta_rb ** 2, corr_p.beta_rb)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys, line):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_rejects_config_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"trials = 2\n\xff\n")
+    rc = cli.main(["kgr_vs_power", "--preset", "desk", "--config", str(bad),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_rejects_negative_seed_flag(tmp_path, capsys):
     rc = cli.main(["kgr_vs_power", "--preset", "desk", "--trials", "1",
                    "--seed", "-1", "--out", str(tmp_path / "run")])
