@@ -1,6 +1,6 @@
 #!/bin/sh
 # Run every experiment at desk scale (reduced trials, capped array sizes).
-# Takes 9-11 s on a 2-core box with one BLAS thread; artifacts land under
+# Takes 10-11 s on a 2-core box with one BLAS thread; artifacts land under
 # runs/desk/<experiment>/.
 set -e
 

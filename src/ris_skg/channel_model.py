@@ -11,10 +11,12 @@ depending on their separation in wavelengths.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -101,6 +103,14 @@ class ScenarioConfig:
                      ("bob_pos", "ris_pos")):
             if tuple(getattr(self, a)) == tuple(getattr(self, b)):
                 raise ConfigError(f"{a} and {b} must be different points")
+        # every point, Eve's antennas included, lies within ``reach`` of the
+        # origin per coordinate, so no link's squared length (np.linalg.norm
+        # sums the squares) exceeds 12 reach^2; an inf there ends as NaN rates
+        reach = max(abs(c) for p in (self.alice_pos, self.bob_pos, self.ris_pos)
+                    for c in p) + abs(self.eve_radius_m)
+        if not math.isfinite(12.0 * reach * reach):
+            raise ConfigError("positions and eve_radius_m are too large: "
+                              "link lengths overflow")
         if not self.methods:
             raise ConfigError("methods must name at least one design")
         # result rows are keyed by method and sweep value (element count for
@@ -322,7 +332,7 @@ class CorrelationSet:
     is rho_k (R_ris o R_ris) and its base-station-side one rho_k R_bs.
     ``bs_corr`` and ``ris_corr`` must be real and positive semidefinite;
     anything else raises ValueError.  Their square roots, which only
-    probing reads, and R_ris o R_ris are computed on first use.
+    probing reads, and R_ris o R_ris are computed on first use, read-only.
     """
 
     bs_corr: np.ndarray
@@ -353,15 +363,26 @@ class CorrelationSet:
 
     @cached_property
     def bs_corr_sqrt(self):
-        return _psd_sqrt(self.bs_corr, "bs_corr")
+        return _frozen(_psd_sqrt(self.bs_corr, "bs_corr"))
 
     @cached_property
     def ris_corr_sqrt(self):
-        return _psd_sqrt(self.ris_corr, "ris_corr")
+        return _frozen(_psd_sqrt(self.ris_corr, "ris_corr"))
 
     @cached_property
     def ris_had(self):
-        return self.ris_corr * self.ris_corr
+        return _frozen(self.ris_corr * self.ris_corr)
+
+    def with_eve(self, beta_ae, beta_re, rho_eve):
+        """This set with another eavesdropper: a shallow copy with the three
+        per-antenna arrays replaced and nothing checked again, so the
+        matrices' checks and the roots and R_ris o R_ris already computed
+        carry over.  ``rho_eve`` must lie in [0, 1].  The antenna is each
+        array's first axis; the key rate lets further axes carry a stack of
+        draws (see ``kgr_core``)."""
+        out = copy.copy(self)
+        out.beta_ae, out.beta_re, out.rho_eve = beta_ae, beta_re, rho_eve
+        return out
 
     @property
     def n_bs(self):
@@ -397,41 +418,74 @@ def draw_eve_positions(config, rng):
     return pos
 
 
-def build_correlations(config, rng):
-    """Assemble a CorrelationSet for one Monte-Carlo trial.
+# the config's field values in field order: the key of ``_shared_draw``
+_FIELD_VALUES = attrgetter(*(f.name for f in fields(ScenarioConfig)))
 
-    The only randomness is Eve's placement; everything else is determined
-    by the config.
-    """
-    config.validate()
+
+def _hashable(value):
+    """A config value with its lists and arrays turned into tuples."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_hashable, value))
+    return value
+
+
+@lru_cache(maxsize=4)
+def _shared_draw(values):
+    """What every Eve draw of one config shares, built once: the config
+    rebuilt from its field values and validated (so a memo hit means these
+    exact values passed ``validate``), a CorrelationSet with the arrays'
+    statistics, the fixed links' gains and the powers but no eavesdropper,
+    and the positions of Alice, the surface and Bob."""
+    config = ScenarioConfig(*values).validate()
     alice = np.asarray(config.alice_pos)
     bob = np.asarray(config.bob_pos)
     ris = np.asarray(config.ris_pos)
-    eve = draw_eve_positions(config, rng)
-
-    d_ab = np.linalg.norm(alice - bob)
-    d_ar = np.linalg.norm(alice - ris)
-    d_rb = np.linalg.norm(ris - bob)
-    d_ae = np.linalg.norm(eve - alice, axis=1)
-    d_re = np.linalg.norm(eve - ris, axis=1)
-    d_be = np.linalg.norm(eve - bob, axis=1)
-
-    return CorrelationSet(
+    corr = CorrelationSet(
         bs_corr=bs_correlation(config.bs_shape, config.bs_corr),
         ris_corr=ris_correlation(
             config.ris_shape,
             config.ris_spacing_wavelengths * config.wavelength_m,
             config.wavelength_m,
         ),
-        beta_ab=float(path_loss_gain(d_ab, config.pl_exp_alice_bob, config.ref_gain)),
-        beta_ar=float(path_loss_gain(d_ar, config.pl_exp_alice_ris, config.ref_gain)),
-        beta_rb=float(path_loss_gain(d_rb, config.pl_exp_ris_bob, config.ref_gain)),
-        beta_ae=path_loss_gain(d_ae, config.pl_exp_alice_eve, config.ref_gain),
-        beta_re=path_loss_gain(d_re, config.pl_exp_ris_eve, config.ref_gain),
-        rho_eve=eve_cross_correlation(d_be, config.wavelength_m),
+        beta_ab=float(path_loss_gain(np.linalg.norm(alice - bob),
+                                     config.pl_exp_alice_bob, config.ref_gain)),
+        beta_ar=float(path_loss_gain(np.linalg.norm(alice - ris),
+                                     config.pl_exp_alice_ris, config.ref_gain)),
+        beta_rb=float(path_loss_gain(np.linalg.norm(ris - bob),
+                                     config.pl_exp_ris_bob, config.ref_gain)),
+        beta_ae=(), beta_re=(), rho_eve=(),
         power_alice=config.power_alice_w,
         power_bob=config.power_bob_w,
         noise_power=config.noise_power_w,
+    )
+    # computed here, once, so that every draw's copy carries them
+    corr.bs_corr_sqrt, corr.ris_corr_sqrt, corr.ris_had
+    return corr, alice, ris, bob
+
+
+def build_correlations(config, rng):
+    """Assemble a CorrelationSet for one Monte-Carlo trial.
+
+    The only randomness is Eve's placement; everything else is determined
+    by the config, validated and built once per distinct set of field
+    values (a few are memoized), so a trial pays for Eve's draw alone.
+    """
+    values = _FIELD_VALUES(config)
+    try:
+        hash(values)
+    except TypeError:       # a list or array field
+        values = _hashable(values)
+    shared, alice, ris, bob = _shared_draw(values)
+    eve = draw_eve_positions(config, rng)
+    return shared.with_eve(
+        beta_ae=path_loss_gain(np.linalg.norm(eve - alice, axis=1),
+                               config.pl_exp_alice_eve, config.ref_gain),
+        beta_re=path_loss_gain(np.linalg.norm(eve - ris, axis=1),
+                               config.pl_exp_ris_eve, config.ref_gain),
+        rho_eve=eve_cross_correlation(np.linalg.norm(eve - bob, axis=1),
+                                      config.wavelength_m),
     )
 
 

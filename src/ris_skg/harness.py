@@ -226,35 +226,55 @@ def _probe_record(corr, w, v, seeds, rounds):
             runs_test(bits_b), bits_b.size)
 
 
+def _stack_draws(draws):
+    """One CorrelationSet carrying every draw's per-antenna arrays, shaped
+    (antenna, draw, 1) so that they broadcast against (draw, method)
+    stacks of designs; the draws share everything else."""
+    return draws[0].with_eve(*(
+        np.stack([getattr(corr, name) for corr in draws], axis=1)[..., None]
+        for name in ("beta_ae", "beta_re", "rho_eve")))
+
+
 def _run_sweep(cfg, experiment):
     """Common driver: per sweep value, trial, and method, build the
     scenario, run the design, and record what the experiment measures of
-    it (key rate, or probing bit statistics for ``bdr_vs_power``).  A
-    timing row covers the design and its record.  Every sweep point's
-    config is validated before the first trial runs."""
+    it.  ``bdr_vs_power`` probes each design as it comes, and a timing row
+    covers the design and its probing.  The key-rate experiments rate a
+    sweep point's designs together, in one ``min_kgr_bits`` call after its
+    last trial, and a timing row covers the design alone.  Every sweep
+    point's config is validated before the first trial runs."""
     _check_methods(cfg)
     points = list(_sweep_configs(cfg, experiment))
     for _, sub in points:
         sub.validate()
     rows, timings = [], []
     for si, (sval, sub) in enumerate(points):
+        draws, designs = [], []
         for trial in range(sub.trials):
             corr = build_correlations(
                 sub, np.random.default_rng([sub.seed, trial]))
+            draws.append(corr)
             for mi, method in enumerate(sub.methods):
                 seeds = [sub.seed, trial, si, mi]
                 t0 = time.perf_counter()
-                w, v = DESIGN_METHODS[method](
-                    corr, np.random.default_rng(seeds))
+                w, v = DESIGN_METHODS[method](corr, seeds)
                 if experiment == "bdr_vs_power":
-                    record = _probe_record(corr, w, v, seeds,
-                                           sub.probe_rounds)
+                    rows.append((experiment, sval, trial, method,
+                                 *_probe_record(corr, w, v, seeds,
+                                                sub.probe_rounds),
+                                 sub.seed))
                 else:
-                    record = (min_kgr_bits(corr, w, v),)
+                    designs.append((w, v))
                 ms = (time.perf_counter() - t0) * 1e3
-                rows.append((experiment, sval, trial, method, *record,
-                             sub.seed))
                 timings.append((experiment, sval, trial, method, ms))
+        if designs:
+            shape = (sub.trials, len(sub.methods), -1)
+            w, v = (np.reshape(x, shape) for x in zip(*designs))
+            rates = min_kgr_bits(_stack_draws(draws), w, v)
+            rows.extend((experiment, sval, trial, method, rates[trial, mi],
+                         sub.seed)
+                        for trial in range(sub.trials)
+                        for mi, method in enumerate(sub.methods))
     return rows, timings
 
 

@@ -7,6 +7,13 @@ fixed combiner norm the per-eavesdropper rate is a monotone function of a
 single effective gain, so a max-min design can work on that gain directly.
 The determinant form straight from the definition, and the expanded
 scalar form, are test references in ``tests/oracles.py``.
+
+A design enters the rate only through three scalars (``design_gains``),
+so one call can rate a stack of designs: ``w`` and ``v`` may carry
+leading axes that index designs, and the correlation set's per-antenna
+arrays (antenna first) may carry further axes that broadcast against
+them.  Every step after the three scalars is elementwise, so a design's
+rate in a stack is bit-identical to its rate alone.
 """
 
 from __future__ import annotations
@@ -17,21 +24,43 @@ import numpy as np
 
 
 @dataclass
-class GainTriple:
-    """Effective scalar channel gains for one design (w, v).
+class EffectiveGains:
+    """Effective scalar channel gains for one design (w, v), or a stack.
 
     ``legit`` is the variance of the shared reciprocal-plus-direct scalar
     seen by both legitimate ends, ``eve[k]`` the variance of eavesdropper
-    antenna k's noiseless observation, and ``cross[k]`` their covariance.
+    antenna k's noiseless observation, and ``cross[k]`` their covariance;
+    ``combiner_sq`` is ||w||^2, which sets the uplink noise.  For a stack of
+    designs ``legit`` and ``combiner_sq`` have the stack's shape and ``eve``
+    and ``cross`` one more leading axis, the antenna.
     """
 
     legit: float
     eve: np.ndarray
     cross: np.ndarray
+    combiner_sq: float
 
     def __post_init__(self):
         self.eve = np.atleast_1d(np.asarray(self.eve, dtype=float))
         self.cross = np.atleast_1d(np.asarray(self.cross, dtype=complex))
+
+
+def design_gains(corr, w, v):
+    """The three scalars through which a design (w, v) enters the key rate:
+    m_w = w^T R_bs w*, q_v = v^H (R_ris o R_ris) v and ||w||^2.
+
+    ``w`` is (..., M) and ``v`` (..., N) with the same leading shape; each
+    scalar comes back with that shape (a NumPy scalar for one design),
+    computed design by design.
+    """
+    w = np.asarray(w, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    per_design = [(np.real(wi @ corr.bs_corr @ np.conj(wi)),
+                   np.real(np.conj(vi) @ corr.ris_had @ vi),
+                   np.real(np.vdot(wi, wi)))
+                  for wi, vi in zip(w.reshape(-1, w.shape[-1]),
+                                    v.reshape(-1, v.shape[-1]))]
+    return tuple(np.array(per_design).T.reshape(3, *w.shape[:-1]))
 
 
 def effective_gains(corr, w, v):
@@ -41,18 +70,14 @@ def effective_gains(corr, w, v):
     relaxed) reflection phase vector.  Uses only the correlation matrices,
     never channel draws.
     """
-    w = np.asarray(w, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    m_w = np.real(w @ corr.bs_corr @ np.conj(w))
-    q_v = np.real(np.conj(v) @ corr.ris_had @ v)
-
+    m_w, q_v, wsq = design_gains(corr, w, v)
     legit = m_w * (corr.beta_cascade * q_v + corr.beta_ab)
     eve = m_w * (corr.beta_cascade_eve * q_v + corr.beta_ae)
 
     cross = corr.rho_eve * m_w * (
         q_v * np.sqrt(corr.beta_cascade * corr.beta_cascade_eve)
         + np.sqrt(corr.beta_ab * corr.beta_ae))
-    return GainTriple(float(legit), eve, cross)
+    return EffectiveGains(legit, eve, cross, wsq)
 
 
 def eve_resolved_gain(gains, noise_power):
@@ -79,13 +104,15 @@ def kgr_from_summary(f, power_bob, combiner_sq, noise_power):
 
 
 def kgr_bits(corr, w, v):
-    """Per-eavesdropper key rates for a design, via the reduced form."""
+    """Per-eavesdropper key rates for a design, via the reduced form; for a
+    stack of designs, antenna first."""
     gains = effective_gains(corr, w, v)
     f = eve_resolved_gain(gains, corr.noise_power)
-    wsq = float(np.real(np.vdot(w, w)))
-    return kgr_from_summary(f, corr.power_bob, wsq, corr.noise_power)
+    return kgr_from_summary(f, corr.power_bob, gains.combiner_sq,
+                            corr.noise_power)
 
 
 def min_kgr_bits(corr, w, v):
-    return float(np.min(kgr_bits(corr, w, v)))
-
+    """Worst-case key rate over the eavesdropper's antennas: a float for one
+    design, an array of the stack's shape for a stack."""
+    return np.min(kgr_bits(corr, w, v), axis=0)

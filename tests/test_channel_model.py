@@ -187,10 +187,13 @@ def _sinc_loop(shape, spacing, lam):
     ("ris_shape", (3, 3)),
     ("ris_spacing_wavelengths", 0.4),
     ("wavelength_m", 0.3),
+    ("alice_pos", (5.0, 10.0, 20.0)),
+    ("pl_exp_alice_ris", 3.0),
+    ("power_alice_w", 0.5),
 ])
 def test_memoized_correlations_match_fresh_ones(field, value):
-    # configs A, B, A: a memo keyed on too little would hand B's matrices
-    # to A or A's to B
+    # configs A, B, A: a memo keyed on too little would hand B's matrices,
+    # gains or powers to A or A's to B
     cfg_a = cm.ScenarioConfig(eve_count=2)
     cfg_b = replace(cfg_a, **{field: value})
     for cfg in (cfg_a, cfg_b, cfg_a):
@@ -202,6 +205,36 @@ def test_memoized_correlations_match_fresh_ones(field, value):
         assert np.allclose(corr.ris_corr, _sinc_loop(
             cfg.ris_shape, cfg.ris_spacing_wavelengths * cfg.wavelength_m,
             cfg.wavelength_m), rtol=0.0, atol=1e-15)
+        alice, ris = np.asarray(cfg.alice_pos), np.asarray(cfg.ris_pos)
+        eve = cm.draw_eve_positions(cfg, np.random.default_rng(0))
+        assert corr.beta_ar == cm.path_loss_gain(
+            np.linalg.norm(alice - ris), cfg.pl_exp_alice_ris, cfg.ref_gain)
+        assert np.array_equal(corr.beta_ae, cm.path_loss_gain(
+            np.linalg.norm(eve - alice, axis=1), cfg.pl_exp_alice_eve,
+            cfg.ref_gain))
+        assert corr.power_alice == cfg.power_alice_w
+
+
+def test_memo_hit_still_rejects_an_invalid_config():
+    # the memo is keyed on every field value, so an invalid config never
+    # finds a valid one's entry, even one with the same geometry
+    cfg = cm.ScenarioConfig(eve_count=2)
+    cm.build_correlations(cfg, np.random.default_rng(0))
+    for field, value in (("trials", 0), ("seed", -1), ("bs_corr", 1.0),
+                         ("bob_pos", cfg.alice_pos)):
+        with pytest.raises(cm.ConfigError):
+            cm.build_correlations(replace(cfg, **{field: value}),
+                                  np.random.default_rng(0))
+    # nor after a config that already hit the memo is changed in place
+    for _ in range(2):
+        cm.build_correlations(cfg, np.random.default_rng(0))
+    cfg.eve_radius_m = -1.0
+    with pytest.raises(cm.ConfigError, match="eve_radius_m"):
+        cm.build_correlations(cfg, np.random.default_rng(0))
+    cfg.eve_radius_m = 5.0
+    cfg.ris_shape = [5, 0]
+    with pytest.raises(cm.ConfigError, match="array shapes"):
+        cm.build_correlations(cfg, np.random.default_rng(0))
 
 
 def test_memoized_correlations_are_read_only():

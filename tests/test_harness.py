@@ -12,6 +12,7 @@ from ris_skg import cli
 from ris_skg import harness as hn
 from ris_skg import problem_lift as pl
 from ris_skg.channel_model import ConfigError
+from ris_skg.kgr_core import min_kgr_bits
 
 # a small but complete scenario for artifact tests
 _TINY = """
@@ -238,9 +239,53 @@ def test_sweep_decomposes_each_correlation_matrix_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     cm._eigh.cache_clear()
+    cm._shared_draw.cache_clear()
     cfg = _tiny_cfg(trials=10)
     hn.run_experiment("kgr_vs_n", cfg, str(tmp_path))
     assert 0 < len(calls) <= 2 * len(cfg.sweep_ris_shapes)
+
+
+def test_batched_rates_equal_per_call_rates(tmp_path):
+    # a sweep point rates all its designs in one min_kgr_bits call; each
+    # row must be what the call on that one draw and design returns
+    cfg = _tiny_cfg(trials=3, methods=tuple(hn.DESIGN_METHODS))
+    for experiment in ("kgr_vs_power", "kgr_vs_n", "kgr_vs_m",
+                       "kgr_vs_eve_radius"):
+        info = hn.run_experiment(experiment, cfg, str(tmp_path / experiment))
+        rows = hn.read_csv_rows(info["results"])
+        raw, _ = hn._run_sweep(cfg, experiment)
+        points = list(hn._sweep_configs(cfg, experiment))
+        assert len(rows) == len(raw) == (len(points) * cfg.trials
+                                         * len(cfg.methods))
+        by_key = {(r["sweep_value"], int(r["trial"]), r["method"]):
+                  r["min_kgr_bits"] for r in rows}
+        rates = {(hn._fmt(row[1]), row[2], row[3]): row[4] for row in raw}
+        for si, (sval, sub) in enumerate(points):
+            for trial in range(sub.trials):
+                corr = cm.build_correlations(
+                    sub, np.random.default_rng([sub.seed, trial]))
+                for mi, method in enumerate(sub.methods):
+                    w, v = hn.DESIGN_METHODS[method](
+                        corr, [sub.seed, trial, si, mi])
+                    alone = min_kgr_bits(corr, w, v)
+                    key = (hn._fmt(sval), trial, method)
+                    assert rates[key] == alone, (experiment, key)
+                    assert by_key[key] == format(alone, ".12g")
+
+
+def test_designs_that_draw_nothing_build_no_generator(tmp_path, monkeypatch):
+    # only Eve's draw and the stochastic designs need a generator
+    calls = []
+    real = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    cfg = _tiny_cfg(trials=4, methods=("optimized", "no_ris"))
+    hn.run_experiment("kgr_vs_n", cfg, str(tmp_path))
+    assert len(calls) == cfg.trials * len(cfg.sweep_ris_shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +330,8 @@ def test_cli_runs_experiment(tmp_path, capsys):
     "trials = 2\ntrials = 3",
     "power_alice_dbm = 20\npower_alice_w = 0.5",
     "power_alice_w = 0.5\npower_alice_dbm = 20",
+    "eve_radius_m = 1e300",
+    "alice_pos = 1e200, 0, 20",
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
