@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import problem_lift as pl
-from .channel_model import shared_eigh
 from .mirror_prox import from_minorants, mirror_prox_solve
 
 CURVATURE_FLOOR = 1e-12
@@ -125,7 +124,7 @@ def statistical_design(corr):
     For a fixed combiner (the ``iid_bs`` baseline) the first step alone
     makes v = 1 optimal.
     """
-    _, vecs = shared_eigh(corr.bs_corr)
+    _, vecs = corr.bs_eigh
     w = np.sqrt(corr.power_alice) * vecs[:, -1].astype(complex)
     v = np.ones(corr.n_ris, dtype=complex)
     return w, v

@@ -242,24 +242,11 @@ def exp_corr_matrix(n, rho):
     return toeplitz(rho ** np.arange(n)).astype(float)
 
 
-# Array statistics depend on the geometry alone, so the trials of a sweep point
-# share them: the matrices and the eigendecompositions (read by the PSD check,
-# the square roots and the correlation-only design) are memoized, read-only.
-def _frozen(arr):
-    arr.flags.writeable = False
-    return arr
-
-
 def bs_correlation(shape, rho):
     """Planar-array correlation as the Kronecker product of the horizontal
     and vertical exponential factors (horizontal-major element order)."""
-    return _bs_correlation(tuple(map(int, shape)), float(rho))
-
-
-@lru_cache(maxsize=4)
-def _bs_correlation(shape, rho):
     n_h, n_v = shape
-    return _frozen(np.kron(exp_corr_matrix(n_h, rho), exp_corr_matrix(n_v, rho)))
+    return np.kron(exp_corr_matrix(n_h, rho), exp_corr_matrix(n_v, rho))
 
 
 def ris_element_positions(shape, spacing_m):
@@ -273,14 +260,9 @@ def ris_element_positions(shape, spacing_m):
 def ris_correlation(shape, spacing_m, wavelength_m):
     """Isotropic-scattering correlation sinc(2 d / lambda) between surface
     elements at distance d (np.sinc already includes the pi factors)."""
-    return _ris_correlation(tuple(map(int, shape)), float(spacing_m), float(wavelength_m))
-
-
-@lru_cache(maxsize=4)
-def _ris_correlation(shape, spacing_m, wavelength_m):
     pos = ris_element_positions(shape, spacing_m)
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    return _frozen(np.sinc(2.0 * dist / wavelength_m))
+    return np.sinc(2.0 * dist / wavelength_m)
 
 
 def eve_cross_correlation(distance_m, wavelength_m):
@@ -291,31 +273,31 @@ def eve_cross_correlation(distance_m, wavelength_m):
 
 def path_loss_gain(distance_m, exponent, ref_gain):
     """Large-scale channel-variance factor sqrt(ref_gain * d^-alpha) at the
-    given distance."""
-    return np.sqrt(ref_gain * np.asarray(distance_m, dtype=float) ** (-float(exponent)))
+    given distance; one too large for a float comes out inf, without an
+    overflow warning, for the caller's finiteness check to reject."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(ref_gain * np.asarray(distance_m, dtype=float)
+                       ** (-float(exponent)))
 
 
-def _check_psd(vals, name):
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _checked_eigh(mat, name):
+    """Read-only ``np.linalg.eigh(mat)``; ValueError unless ``mat`` is
+    positive semidefinite."""
+    vals, vecs = map(_frozen, np.linalg.eigh(mat))
     if vals.min() < -1e-8 * max(vals.max(), 1.0):
         raise ValueError(f"{name} is not positive semidefinite "
                          f"(min eigenvalue {vals.min():.3e})")
+    return vals, vecs
 
 
-def shared_eigh(mat):
-    """Read-only ``np.linalg.eigh(mat)``, memoized by the matrix's content."""
-    mat = np.ascontiguousarray(mat)
-    return _eigh(mat.tobytes(), mat.shape, mat.dtype.str)
-
-
-@lru_cache(maxsize=4)
-def _eigh(data, shape, dtype):
-    return tuple(map(_frozen, np.linalg.eigh(np.frombuffer(data, dtype).reshape(shape))))
-
-
-def _psd_sqrt(mat, name="matrix"):
-    vals, vecs = shared_eigh(mat)
-    _check_psd(vals, name)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+def _psd_sqrt(vals, vecs):
+    """Read-only PSD square root from the decomposition ``(vals, vecs)``."""
+    return _frozen((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +313,11 @@ class CorrelationSet:
     cross-covariance rho_k I with Bob's, so its surface-side cross matrix
     is rho_k (R_ris o R_ris) and its base-station-side one rho_k R_bs.
     ``bs_corr`` and ``ris_corr`` must be real and positive semidefinite;
-    anything else raises ValueError.  Their square roots, which only
-    probing reads, and R_ris o R_ris are computed on first use, read-only.
+    anything else raises ValueError.  Each is decomposed once, on
+    construction, into ``bs_eigh``/``ris_eigh`` (eigenvalues ascending,
+    eigenvectors), which the PSD check, the square roots and the
+    correlation-only design read.  The roots, which only probing reads, and
+    R_ris o R_ris are computed on first use.  All five are read-only.
     """
 
     bs_corr: np.ndarray
@@ -354,7 +339,7 @@ class CorrelationSet:
             if np.iscomplexobj(mat) and np.any(mat.imag != 0):
                 raise ValueError(f"{name} must be real")
             setattr(self, name, mat.real)
-            _check_psd(shared_eigh(mat.real)[0], name)
+        self.bs_eigh, self.ris_eigh     # decomposed and checked here, once
         self.beta_ae = np.atleast_1d(np.asarray(self.beta_ae, dtype=float))
         self.beta_re = np.atleast_1d(np.asarray(self.beta_re, dtype=float))
         self.rho_eve = np.atleast_1d(np.asarray(self.rho_eve, dtype=float))
@@ -362,12 +347,20 @@ class CorrelationSet:
             raise ValueError("rho_eve must lie in [0, 1]")
 
     @cached_property
+    def bs_eigh(self):
+        return _checked_eigh(self.bs_corr, "bs_corr")
+
+    @cached_property
+    def ris_eigh(self):
+        return _checked_eigh(self.ris_corr, "ris_corr")
+
+    @cached_property
     def bs_corr_sqrt(self):
-        return _frozen(_psd_sqrt(self.bs_corr, "bs_corr"))
+        return _psd_sqrt(*self.bs_eigh)
 
     @cached_property
     def ris_corr_sqrt(self):
-        return _frozen(_psd_sqrt(self.ris_corr, "ris_corr"))
+        return _psd_sqrt(*self.ris_eigh)
 
     @cached_property
     def ris_had(self):
@@ -376,10 +369,10 @@ class CorrelationSet:
     def with_eve(self, beta_ae, beta_re, rho_eve):
         """This set with another eavesdropper: a shallow copy with the three
         per-antenna arrays replaced and nothing checked again, so the
-        matrices' checks and the roots and R_ris o R_ris already computed
-        carry over.  ``rho_eve`` must lie in [0, 1].  The antenna is each
-        array's first axis; the key rate lets further axes carry a stack of
-        draws (see ``kgr_core``)."""
+        decompositions, roots and R_ris o R_ris already computed carry over.
+        ``rho_eve`` must lie in [0, 1].  The antenna is each array's first
+        axis; the key rate lets further axes carry a stack of draws (see
+        ``kgr_core``)."""
         out = copy.copy(self)
         out.beta_ae, out.beta_re, out.rho_eve = beta_ae, beta_re, rho_eve
         return out
@@ -437,18 +430,20 @@ def _shared_draw(values):
     rebuilt from its field values and validated (so a memo hit means these
     exact values passed ``validate``), a CorrelationSet with the arrays'
     statistics, the fixed links' gains and the powers but no eavesdropper,
-    and the positions of Alice, the surface and Bob."""
+    and the positions of Alice, the surface and Bob.  Every array the draws
+    share is read-only: both matrices, their decompositions and roots, and
+    R_ris o R_ris.  A fixed link's gain that overflows raises ConfigError."""
     config = ScenarioConfig(*values).validate()
     alice = np.asarray(config.alice_pos)
     bob = np.asarray(config.bob_pos)
     ris = np.asarray(config.ris_pos)
     corr = CorrelationSet(
-        bs_corr=bs_correlation(config.bs_shape, config.bs_corr),
-        ris_corr=ris_correlation(
+        bs_corr=_frozen(bs_correlation(config.bs_shape, config.bs_corr)),
+        ris_corr=_frozen(ris_correlation(
             config.ris_shape,
             config.ris_spacing_wavelengths * config.wavelength_m,
             config.wavelength_m,
-        ),
+        )),
         beta_ab=float(path_loss_gain(np.linalg.norm(alice - bob),
                                      config.pl_exp_alice_bob, config.ref_gain)),
         beta_ar=float(path_loss_gain(np.linalg.norm(alice - ris),
@@ -460,6 +455,9 @@ def _shared_draw(values):
         power_bob=config.power_bob_w,
         noise_power=config.noise_power_w,
     )
+    if not _finite((corr.beta_ab, corr.beta_ar, corr.beta_rb)):
+        raise ConfigError("a fixed link's path gain overflows: check the "
+                          "pl_exp_* exponents and ref_gain")
     # computed here, once, so that every draw's copy carries them
     corr.bs_corr_sqrt, corr.ris_corr_sqrt, corr.ris_had
     return corr, alice, ris, bob

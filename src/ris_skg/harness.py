@@ -241,8 +241,9 @@ def _run_sweep(cfg, experiment):
     it.  ``bdr_vs_power`` probes each design as it comes, and a timing row
     covers the design and its probing.  The key-rate experiments rate a
     sweep point's designs together, in one ``min_kgr_bits`` call after its
-    last trial, and a timing row covers the design alone.  Every sweep
-    point's config is validated before the first trial runs."""
+    last trial, and a timing row covers the design alone; a rate that is
+    not finite raises ConfigError.  Every sweep point's config is validated
+    before the first trial runs."""
     _check_methods(cfg)
     points = list(_sweep_configs(cfg, experiment))
     for _, sub in points:
@@ -270,7 +271,11 @@ def _run_sweep(cfg, experiment):
         if designs:
             shape = (sub.trials, len(sub.methods), -1)
             w, v = (np.reshape(x, shape) for x in zip(*designs))
-            rates = min_kgr_bits(_stack_draws(draws), w, v)
+            with np.errstate(all="ignore"):
+                rates = min_kgr_bits(_stack_draws(draws), w, v)
+            if not np.isfinite(rates).all():
+                raise ConfigError(f"key rates at sweep value {_fmt(sval)} are "
+                                  "not finite: a gain or power overflows")
             rows.extend((experiment, sval, trial, method, rates[trial, mi],
                          sub.seed)
                         for trial in range(sub.trials)

@@ -171,7 +171,7 @@ def test_ris_correlation_matches_pairwise_distances():
             d = np.linalg.norm(pos[i] - pos[j])
             assert np.isclose(r[i, j], np.sinc(2.0 * d / lam))
     # the isotropic-scattering kernel must admit a real square root
-    cm._psd_sqrt(r, "ris_corr")
+    cm._psd_sqrt(*cm._checked_eigh(r, "ris_corr"))
 
 
 def _sinc_loop(shape, spacing, lam):
@@ -238,14 +238,19 @@ def test_memo_hit_still_rejects_an_invalid_config():
 
 
 def test_memoized_correlations_are_read_only():
-    r_bs = cm.bs_correlation((3, 2), 0.4)
-    r_ris = cm.ris_correlation([5, 4], 0.031, 0.125)
-    assert r_ris.shape == (20, 20)
-    assert np.array_equal(r_ris, cm.ris_correlation(
-        (np.int64(5), np.int64(4)), 0.031, 0.125))
-    for mat in (r_bs, r_ris, *cm.shared_eigh(r_bs)):
+    # two draws of one config share the memo's arrays: the same objects,
+    # which no draw can edit under the others
+    cfg = cm.ScenarioConfig(eve_count=2)
+    one, two = (cm.build_correlations(cfg, np.random.default_rng(seed))
+                for seed in (0, 1))
+    assert not np.array_equal(one.rho_eve, two.rho_eve)
+    names = ("bs_corr", "ris_corr", "bs_corr_sqrt", "ris_corr_sqrt", "ris_had")
+    shared = [(getattr(one, name), getattr(two, name)) for name in names]
+    shared += [*zip(one.bs_eigh, two.bs_eigh), *zip(one.ris_eigh, two.ris_eigh)]
+    for arr, again in shared:
+        assert arr is again
         with pytest.raises(ValueError):
-            mat[0, ...] = 0.0
+            arr[0, ...] = 0.0
     # list shapes and numpy scalars pass validation and assembly as before
     cfg = cm.ScenarioConfig(ris_shape=[5, 4], bs_shape=(np.int64(5), 3),
                             bs_corr=np.float64(0.3), trials=np.int64(3),
@@ -255,7 +260,7 @@ def test_memoized_correlations_are_read_only():
 
 
 def test_non_psd_matrix_rejected_every_time():
-    # the eigendecomposition is memoized, the PSD verdict is not
+    # each new set decomposes its matrices and checks them again
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     corr = oracles.random_corr(np.random.default_rng(4), n_bs=2, n_ris=3,
                                n_eve=1)
@@ -278,10 +283,10 @@ def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     mat = a @ a.conj().T
-    root = cm._psd_sqrt(mat)
+    root = cm._psd_sqrt(*cm._checked_eigh(mat, "mat"))
     assert np.allclose(root @ root.conj().T, mat)
     with pytest.raises(ValueError):
-        cm._psd_sqrt(np.diag([1.0, -1.0]))
+        cm._psd_sqrt(*cm._checked_eigh(np.diag([1.0, -1.0]), "mat"))
 
 
 # ---------------------------------------------------------------------------

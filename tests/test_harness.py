@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from ris_skg import harness as hn
 from ris_skg import problem_lift as pl
 from ris_skg.channel_model import ConfigError
 from ris_skg.kgr_core import min_kgr_bits
+
+_CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 # a small but complete scenario for artifact tests
 _TINY = """
@@ -110,13 +113,30 @@ def test_build_config_presets_and_overrides():
 
 
 def test_bundled_config_files_parse():
-    cfg_dir = pathlib.Path(__file__).resolve().parent.parent / "configs"
-    paths = sorted(cfg_dir.glob("*.cfg"))
+    paths = sorted(_CONFIG_DIR.glob("*.cfg"))
     assert paths, "no bundled config files found"
     for path in paths:
         for preset in ("paper", "desk"):
             cfg = hn.build_config(preset, path.read_text(encoding="utf-8"))
             assert cfg.validate() is cfg
+
+
+@pytest.mark.parametrize("path", sorted(_CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_bundled_config_runs_the_experiment_in_its_header(path, tmp_path):
+    # each file's header shows the command it is for; ``<experiment>``
+    # stands for every experiment (test_bundled_config_files_parse checks
+    # that each file parses on both presets)
+    named = re.search(r"ris-skg (\S+) --preset desk --config configs/"
+                      + re.escape(path.name), path.read_text(encoding="utf-8"))
+    assert named, f"{path.name} names no experiment in its header"
+    experiments = (hn.EXPERIMENTS if named[1] == "<experiment>"
+                   else (named[1],))
+    for experiment in experiments:
+        rc = cli.main([experiment, "--preset", "desk", "--config", str(path),
+                       "--trials", "1", "--out", str(tmp_path / experiment)])
+        assert rc == 0, experiment
+
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +247,9 @@ def test_no_experiment_runs_an_iterative_solver(tmp_path, monkeypatch):
 
 
 def test_sweep_decomposes_each_correlation_matrix_once(tmp_path, monkeypatch):
-    # R_bs and R_ris depend on the geometry alone: the trials of a sweep
-    # point share one eigendecomposition of each, however many there are
+    # R_bs and R_ris are fixed by a sweep point's config: its trials share
+    # one eigendecomposition of each, however many there are, whether the
+    # sweep changes the geometry (kgr_vs_n) or only the power
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -238,11 +259,13 @@ def test_sweep_decomposes_each_correlation_matrix_once(tmp_path, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    cm._eigh.cache_clear()
-    cm._shared_draw.cache_clear()
-    cfg = _tiny_cfg(trials=10)
-    hn.run_experiment("kgr_vs_n", cfg, str(tmp_path))
-    assert 0 < len(calls) <= 2 * len(cfg.sweep_ris_shapes)
+    cfg = _tiny_cfg(trials=10, sweep_power_dbm=(10.0, 20.0, 30.0))
+    for experiment in ("kgr_vs_n", "kgr_vs_power"):
+        cm._shared_draw.cache_clear()
+        calls.clear()
+        hn.run_experiment(experiment, cfg, str(tmp_path / experiment))
+        points = list(hn._sweep_configs(cfg, experiment))
+        assert len(calls) == 2 * len(points), experiment
 
 
 def test_batched_rates_equal_per_call_rates(tmp_path):
@@ -332,6 +355,10 @@ def test_cli_runs_experiment(tmp_path, capsys):
     "power_alice_w = 0.5\npower_alice_dbm = 20",
     "eve_radius_m = 1e300",
     "alice_pos = 1e200, 0, 20",
+    "pl_exp_ris_bob = -1000",
+    "pl_exp_alice_eve = -400",
+    "ref_gain = 1e300",
+    "noise_power_w = 1e-320",
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
@@ -340,6 +367,19 @@ def test_cli_rejects_bad_config(tmp_path, capsys, line):
                    "--config", str(bad), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "results.csv").exists()
+
+
+def test_bdr_rejects_an_overflowing_fixed_link(tmp_path, capsys):
+    # probing reads no key rate, so the fixed links' gains are checked where
+    # they are computed
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("pl_exp_ris_bob = -1000\n")
+    rc = cli.main(["bdr_vs_power", "--preset", "desk", "--trials", "1",
+                   "--config", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "path gain overflows" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "bdr.csv").exists()
 
 
 def test_cli_rejects_config_that_is_not_utf8(tmp_path, capsys):
