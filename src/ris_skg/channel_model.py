@@ -537,7 +537,9 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
     The exponentials, the legitimate scalars and Eve's scalars come from
     three streams spawned from ``rng``, each drawn round by round, so the
     output does not depend on ``chunk`` (which bounds memory at
-    chunk x N reals) nor on ``eve``.
+    chunk x N reals) nor on ``eve``.  With the surface off (v = 0) every
+    lambda_i is zero, so ||u||^2 = 0 and the exponentials are not drawn;
+    the other two streams, and hence every output, are unchanged.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -550,6 +552,7 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
     uplink_sig = sig * np.linalg.norm(w)
     rho = corr.rho_eve
     mix_sq = np.clip(1.0 - rho ** 2, 0.0, None)
+    cascade_on = lam.any()
     exp_rng, leg_rng, eve_rng = rng.spawn(3)
 
     out_a = np.empty(rounds, dtype=complex)
@@ -558,7 +561,8 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
     for start in range(0, rounds, chunk):
         sl = slice(start, min(start + chunk, rounds))
         b = sl.stop - start
-        u_sq = exp_rng.standard_exponential((b, lam.size)) @ lam
+        u_sq = (exp_rng.standard_exponential((b, lam.size)) @ lam
+                if cascade_on else np.zeros(b))
         s_b, d, n_a, n_b = _cn(leg_rng, b, 4).T
         cascade = np.sqrt(u_sq) * s_b
         shared = (np.sqrt(corr.beta_rb) * cascade

@@ -10,11 +10,13 @@ experiment with the same config produce byte-identical result files
 
 from __future__ import annotations
 
+import collections
 import csv
 import json
 import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -226,6 +228,27 @@ def _probe_record(corr, w, v, seeds, rounds):
             runs_test(bits_b), bits_b.size)
 
 
+def _timed(fn, *args):
+    """fn(*args) and its own wall time in milliseconds."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, (time.perf_counter() - t0) * 1e3
+
+
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# probes submitted but not yet collected, per worker thread; bounds the
+# draws, designs and results held at once however many trials run
+_IN_FLIGHT_PER_WORKER = 2
+
+
 def _stack_draws(draws):
     """One CorrelationSet carrying every draw's per-antenna arrays, shaped
     (antenna, draw, 1) so that they broadcast against (draw, method)
@@ -238,48 +261,76 @@ def _stack_draws(draws):
 def _run_sweep(cfg, experiment):
     """Common driver: per sweep value, trial, and method, build the
     scenario, run the design, and record what the experiment measures of
-    it.  ``bdr_vs_power`` probes each design as it comes, and a timing row
-    covers the design and its probing.  The key-rate experiments rate a
-    sweep point's designs together, in one ``min_kgr_bits`` call after its
-    last trial, and a timing row covers the design alone; a rate that is
-    not finite raises ConfigError.  Every sweep point's config is validated
-    before the first trial runs."""
+    it.  Every sweep point's config is validated before the first trial
+    runs.
+
+    ``bdr_vs_power`` probes each design on a pool of one thread per CPU
+    the process may use.  Draws and designs stay on this thread, in row
+    order, and each probe draws from its own streams, so the rows do not
+    depend on the thread count; they are collected in submission order,
+    with at most ``_IN_FLIGHT_PER_WORKER`` probes per thread pending.
+    A timing row is the design's time plus its probe's own wall time, so
+    rows overlap and their sum can exceed the run's.  The pool is joined
+    before this returns or raises.
+
+    The key-rate experiments rate a sweep point's designs together, in one
+    ``min_kgr_bits`` call after its last trial, and a timing row covers the
+    design alone; a rate that is not finite raises ConfigError."""
     _check_methods(cfg)
     points = list(_sweep_configs(cfg, experiment))
     for _, sub in points:
         sub.validate()
     rows, timings = [], []
-    for si, (sval, sub) in enumerate(points):
-        draws, designs = [], []
-        for trial in range(sub.trials):
-            corr = build_correlations(
-                sub, np.random.default_rng([sub.seed, trial]))
-            draws.append(corr)
-            for mi, method in enumerate(sub.methods):
-                seeds = [sub.seed, trial, si, mi]
-                t0 = time.perf_counter()
-                w, v = DESIGN_METHODS[method](corr, seeds)
-                if experiment == "bdr_vs_power":
-                    rows.append((experiment, sval, trial, method,
-                                 *_probe_record(corr, w, v, seeds,
-                                                sub.probe_rounds),
-                                 sub.seed))
-                else:
-                    designs.append((w, v))
-                ms = (time.perf_counter() - t0) * 1e3
-                timings.append((experiment, sval, trial, method, ms))
-        if designs:
-            shape = (sub.trials, len(sub.methods), -1)
-            w, v = (np.reshape(x, shape) for x in zip(*designs))
-            with np.errstate(all="ignore"):
-                rates = min_kgr_bits(_stack_draws(draws), w, v)
-            if not np.isfinite(rates).all():
-                raise ConfigError(f"key rates at sweep value {_fmt(sval)} are "
-                                  "not finite: a gain or power overflows")
-            rows.extend((experiment, sval, trial, method, rates[trial, mi],
-                         sub.seed)
-                        for trial in range(sub.trials)
-                        for mi, method in enumerate(sub.methods))
+    workers = _cpu_count()
+    in_flight = _IN_FLIGHT_PER_WORKER * workers
+    pending = collections.deque()   # (row head, seed, design ms, future)
+
+    def collect():
+        head, seed, design_ms, future = pending.popleft()
+        record, probe_ms = future.result()
+        rows.append((*head, *record, seed))
+        timings.append((*head, design_ms + probe_ms))
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for si, (sval, sub) in enumerate(points):
+            draws, designs = [], []
+            for trial in range(sub.trials):
+                corr = build_correlations(
+                    sub, np.random.default_rng([sub.seed, trial]))
+                draws.append(corr)
+                for mi, method in enumerate(sub.methods):
+                    seeds = [sub.seed, trial, si, mi]
+                    t0 = time.perf_counter()
+                    w, v = DESIGN_METHODS[method](corr, seeds)
+                    ms = (time.perf_counter() - t0) * 1e3
+                    head = (experiment, sval, trial, method)
+                    if experiment == "bdr_vs_power":
+                        pending.append((head, sub.seed, ms, pool.submit(
+                            _timed, _probe_record, corr, w, v, seeds,
+                            sub.probe_rounds)))
+                        if len(pending) == in_flight:
+                            collect()
+                    else:
+                        designs.append((w, v))
+                        timings.append((*head, ms))
+            if designs:
+                shape = (sub.trials, len(sub.methods), -1)
+                w, v = (np.reshape(x, shape) for x in zip(*designs))
+                with np.errstate(all="ignore"):
+                    rates = min_kgr_bits(_stack_draws(draws), w, v)
+                if not np.isfinite(rates).all():
+                    raise ConfigError(
+                        f"key rates at sweep value {_fmt(sval)} are not "
+                        "finite: a gain or power overflows")
+                rows.extend((experiment, sval, trial, method,
+                             rates[trial, mi], sub.seed)
+                            for trial in range(sub.trials)
+                            for mi, method in enumerate(sub.methods))
+        while pending:
+            collect()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return rows, timings
 
 

@@ -464,6 +464,27 @@ def test_simulate_probing_without_eve_keeps_alice_and_bob():
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
+def test_simulate_probing_with_the_surface_off_is_the_direct_link_alone():
+    # v = 0 zeroes the cascade, so its exponential stream (the first
+    # spawned one) is not drawn; the legitimate scalars still come from
+    # the second, and every output is the direct-only closed form
+    rng = np.random.default_rng(35)
+    corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
+    w = oracles.random_combiner(rng, corr)
+    v = np.zeros(corr.n_ris, dtype=complex)
+    rounds = 500
+    alice, bob, _ = cm.simulate_probing(corr, w, v, np.random.default_rng(7),
+                                        rounds, chunk=64)
+    _, leg_rng, _ = np.random.default_rng(7).spawn(3)
+    _, d, n_a, n_b = cm._cn(leg_rng, rounds, 4).T
+    sig = np.sqrt(corr.noise_power)
+    shared = (np.sqrt(corr.beta_ab) * np.linalg.norm(corr.bs_corr_sqrt @ w)
+              * d)
+    assert np.array_equal(alice, np.sqrt(corr.power_bob) * shared
+                          + sig * np.linalg.norm(w) * n_a)
+    assert np.array_equal(bob, shared + sig * n_b)
+
+
 def _probing_from_channel_draws(corr, w, v, rng, rounds):
     """Observation sequences assembled round by round from full channel
     draws: shared = w^T G diag(v) h_rb + h_ab^T w, Alice sees

@@ -1,9 +1,13 @@
 """Quantization, randomness checks, experiment artifacts, and the CLI."""
 
+import itertools
 import json
 import os
 import pathlib
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -309,6 +313,94 @@ def test_designs_that_draw_nothing_build_no_generator(tmp_path, monkeypatch):
     cfg = _tiny_cfg(trials=4, methods=("optimized", "no_ris"))
     hn.run_experiment("kgr_vs_n", cfg, str(tmp_path))
     assert len(calls) == cfg.trials * len(cfg.sweep_ris_shapes)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_probe_pool_keeps_the_rows(tmp_path, monkeypatch, workers):
+    # the pool's rows are the serial loop's, in its order, whatever the
+    # thread count, and no thread outlives the run; a short switch
+    # interval makes the threads interleave often
+    monkeypatch.setattr(hn, "_cpu_count", lambda: workers)
+    cfg = hn.build_config("desk", "sweep_power_dbm = 10, 30\n"
+                          "methods = optimized, random, no_ris", trials=2)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
+        raw, timings = hn._run_sweep(cfg, "bdr_vs_power")
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+    want = []
+    for si, (sval, sub) in enumerate(hn._sweep_configs(cfg, "bdr_vs_power")):
+        for trial in range(sub.trials):
+            corr = cm.build_correlations(
+                sub, np.random.default_rng([sub.seed, trial]))
+            for mi, method in enumerate(sub.methods):
+                seeds = [sub.seed, trial, si, mi]
+                w, v = hn.DESIGN_METHODS[method](corr, seeds)
+                want.append(("bdr_vs_power", sval, trial, method,
+                             *hn._probe_record(corr, w, v, seeds,
+                                               sub.probe_rounds), sub.seed))
+    assert len(want) == 2 * 2 * 3
+    assert raw == want
+    assert [row[:4] for row in timings] == [row[:4] for row in want]
+    assert all(row[4] >= 0 for row in timings)
+    rows = hn.read_csv_rows(info["results"])
+    assert [list(r.values()) for r in rows] == [[hn._fmt(x) for x in row]
+                                                for row in want]
+
+
+def test_a_failing_probe_reaches_the_caller_and_writes_nothing(
+        tmp_path, monkeypatch):
+    real = hn.simulate_probing
+    calls = itertools.count(1)
+
+    def third_fails(*args, **kwargs):
+        if next(calls) == 3:
+            raise RuntimeError("probe 3 failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hn, "simulate_probing", third_fails)
+    monkeypatch.setattr(hn, "_cpu_count", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="probe 3 failed"):
+        hn.run_experiment("bdr_vs_power", _tiny_cfg(trials=4), str(tmp_path))
+    assert not (tmp_path / "bdr.csv").exists()
+    assert threading.active_count() == threads
+
+
+def test_probes_in_flight_stay_bounded(tmp_path, monkeypatch):
+    # designs built minus probes finished, taken as each design is built;
+    # each probe also sleeps 1 ms, which its timing row must include
+    workers = 2
+    monkeypatch.setattr(hn, "_cpu_count", lambda: workers)
+    built, finished, gaps = [], [], []
+    for method, design in list(hn.DESIGN_METHODS.items()):
+        def counted_design(*args, _design=design):
+            out = _design(*args)
+            built.append(1)
+            gaps.append(len(built) - len(finished))
+            return out
+
+        monkeypatch.setitem(hn.DESIGN_METHODS, method, counted_design)
+    real = hn._probe_record
+
+    def counted_probe(*args):
+        out = real(*args)
+        time.sleep(1e-3)
+        finished.append(1)
+        return out
+
+    monkeypatch.setattr(hn, "_probe_record", counted_probe)
+    cfg = _tiny_cfg(trials=10, methods=("optimized", "random", "no_ris"))
+    info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
+    assert len(built) == len(finished) == info["rows"] == 2 * 10 * 3
+    assert max(gaps) <= hn._IN_FLIGHT_PER_WORKER * workers
+    assert all(float(r["milliseconds"]) >= 1.0
+               for r in hn.read_csv_rows(info["timings"]))
 
 
 # ---------------------------------------------------------------------------
