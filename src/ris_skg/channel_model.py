@@ -14,9 +14,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from operator import attrgetter
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -41,22 +41,24 @@ def db_to_linear(x_db):
 
 
 def _finite(value):
-    """``np.isfinite(value).all()``, in plain Python for config scalars."""
-    if isinstance(value, (int, float)):
-        return math.isfinite(value)
-    if isinstance(value, (tuple, list)):
+    """Whether a number, or every number in nested tuples, is finite."""
+    if isinstance(value, tuple):
         return all(map(_finite, value))
-    return bool(np.isfinite(value).all())
+    return math.isfinite(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one simulation scenario.
+    """Full description of one simulation scenario: an immutable value,
+    checked when it is built.
 
     Positions are metres, powers watts (config files carry dBm/dB and are
     converted once at load time).  Array shapes are (horizontal, vertical)
-    element counts.  Each field's annotation is also its config-file format
-    (see ``_parse_value``).
+    element counts.  Construction converts each value to its field's
+    annotation (``_as_kind``), so a list or NumPy scalar makes the same
+    config as the plain tuple or number, then checks the config; a value
+    that does not convert or a failed check raises ConfigError.  The
+    annotation is also the config-file format (see ``_parse_value``).
     """
 
     alice_pos: tuple[float, float, float] = (5.0, 0.0, 20.0)
@@ -94,14 +96,21 @@ class ScenarioConfig:
     sweep_bs_shapes: tuple[tuple[int, int], ...] = ()
     sweep_eve_radius_m: tuple[float, ...] = ()
 
-    def validate(self):
+    def __post_init__(self):
+        for name, kind in _KINDS.items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, _as_kind(value, kind))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value {value!r} for {name}: "
+                                  f"{exc}") from exc
         for f in fields(self):
             if f.name != "methods" and not _finite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
         # every link's path loss divides by its length
         for a, b in (("alice_pos", "bob_pos"), ("alice_pos", "ris_pos"),
                      ("bob_pos", "ris_pos")):
-            if tuple(getattr(self, a)) == tuple(getattr(self, b)):
+            if getattr(self, a) == getattr(self, b):
                 raise ConfigError(f"{a} and {b} must be different points")
         # every point, Eve's antennas included, lies within ``reach`` of the
         # origin per coordinate, so no link's squared length (np.linalg.norm
@@ -143,7 +152,6 @@ class ScenarioConfig:
             raise ConfigError("trials must be at least 1")
         if self.probe_rounds < 2:
             raise ConfigError("probe_rounds must be at least 2")
-        return self
 
 
 # Config-file keys holding dB/dBm quantities and the linear field they map to.
@@ -174,6 +182,24 @@ def _parse_value(text, kind):
     if len(parts) != len(args):
         raise ValueError(f"expected {len(args)} values")
     return tuple(map(_parse_value, parts, args))
+
+
+def _as_kind(value, kind):
+    """``value`` as ``kind``, a field annotation that ``_parse_value`` reads:
+    an int through ``operator.index`` (so 2.5 is refused, not cut to 2), a
+    float or str through ``float``/``str``, and a tuple element by element,
+    a fixed tuple at its own length."""
+    if kind is int:
+        return operator.index(value)
+    if kind in (float, str):
+        return kind(value)
+    args = get_args(kind)
+    if args[-1] is Ellipsis:
+        return tuple(_as_kind(x, args[0]) for x in value)
+    value = tuple(value)
+    if len(value) != len(args):
+        raise ValueError(f"expected {len(args)} values")
+    return tuple(map(_as_kind, value, args))
 
 
 def parse_config_values(text):
@@ -210,17 +236,9 @@ def parse_config_values(text):
     return values
 
 
-def parse_config_text(text, base=None):
-    """Build a validated ScenarioConfig from config text, optionally layered
-    on top of a dict of default overrides."""
-    values = dict(base) if base else {}
-    values.update(parse_config_values(text))
-    return ScenarioConfig(**values).validate()
-
-
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        return ScenarioConfig(**parse_config_values(fh.read()))
 
 
 def config_hash(config):
@@ -411,29 +429,15 @@ def draw_eve_positions(config, rng):
     return pos
 
 
-# the config's field values in field order: the key of ``_shared_draw``
-_FIELD_VALUES = attrgetter(*(f.name for f in fields(ScenarioConfig)))
-
-
-def _hashable(value):
-    """A config value with its lists and arrays turned into tuples."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return tuple(map(_hashable, value))
-    return value
-
-
 @lru_cache(maxsize=4)
-def _shared_draw(values):
-    """What every Eve draw of one config shares, built once: the config
-    rebuilt from its field values and validated (so a memo hit means these
-    exact values passed ``validate``), a CorrelationSet with the arrays'
-    statistics, the fixed links' gains and the powers but no eavesdropper,
-    and the positions of Alice, the surface and Bob.  Every array the draws
-    share is read-only: both matrices, their decompositions and roots, and
-    R_ris o R_ris.  A fixed link's gain that overflows raises ConfigError."""
-    config = ScenarioConfig(*values).validate()
+def _shared_draw(config):
+    """What every Eve draw of one config shares, built once and keyed on
+    the config itself (an immutable value, checked when it was built): a
+    CorrelationSet with the arrays' statistics, the fixed links' gains and
+    the powers but no eavesdropper, and the positions of Alice, the surface
+    and Bob.  Every array the draws share is read-only: both matrices,
+    their decompositions and roots, and R_ris o R_ris.  A fixed link's gain
+    that overflows raises ConfigError."""
     alice = np.asarray(config.alice_pos)
     bob = np.asarray(config.bob_pos)
     ris = np.asarray(config.ris_pos)
@@ -467,15 +471,10 @@ def build_correlations(config, rng):
     """Assemble a CorrelationSet for one Monte-Carlo trial.
 
     The only randomness is Eve's placement; everything else is determined
-    by the config, validated and built once per distinct set of field
-    values (a few are memoized), so a trial pays for Eve's draw alone.
+    by the config and built once per distinct config (a few are memoized),
+    so a trial pays for Eve's draw alone.
     """
-    values = _FIELD_VALUES(config)
-    try:
-        hash(values)
-    except TypeError:       # a list or array field
-        values = _hashable(values)
-    shared, alice, ris, bob = _shared_draw(values)
+    shared, alice, ris, bob = _shared_draw(config)
     eve = draw_eve_positions(config, rng)
     return shared.with_eve(
         beta_ae=path_loss_gain(np.linalg.norm(eve - alice, axis=1),

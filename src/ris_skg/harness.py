@@ -24,8 +24,9 @@ from scipy.special import erfc
 
 from . import __version__
 from .baselines import DESIGN_METHODS
-from .channel_model import (ConfigError, build_correlations, config_hash,
-                            dbm_to_watts, parse_config_text, simulate_probing)
+from .channel_model import (ConfigError, ScenarioConfig, build_correlations,
+                            config_hash, dbm_to_watts, parse_config_values,
+                            simulate_probing)
 from .kgr_core import min_kgr_bits
 
 RESULTS_SCHEMA = 2
@@ -63,19 +64,16 @@ PRESETS = {
 
 
 def build_config(preset="paper", config_text=None, trials=None, seed=None):
-    """Resolve a config: preset defaults, then file overrides, then CLI
-    overrides."""
+    """Resolve a config in one step: preset defaults, then file overrides,
+    then CLI overrides, built (and so checked) once."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}")
-    cfg = parse_config_text(config_text or "", base=PRESETS[preset])
-    overrides = {}
-    if trials is not None:
-        overrides["trials"] = trials
-    if seed is not None:
-        overrides["seed"] = seed
-    if overrides:
-        cfg = replace(cfg, **overrides).validate()
-    return cfg
+    overrides = {name: value for name, value in (("trials", trials),
+                                                 ("seed", seed))
+                 if value is not None}
+    return ScenarioConfig(**{**PRESETS[preset],
+                             **parse_config_values(config_text or ""),
+                             **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ def _write_manifest(out_dir, experiment, cfg, files):
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=list)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -198,20 +196,20 @@ def _sweep_configs(cfg, experiment):
     if experiment in ("kgr_vs_power", "bdr_vs_power"):
         _needs(cfg, "sweep_power_dbm", experiment)
         for p_dbm in cfg.sweep_power_dbm:
-            p_w = float(dbm_to_watts(p_dbm))
+            p_w = dbm_to_watts(p_dbm)
             yield p_dbm, replace(cfg, power_alice_w=p_w, power_bob_w=p_w)
     elif experiment == "kgr_vs_n":
         _needs(cfg, "sweep_ris_shapes", experiment)
         for shape in cfg.sweep_ris_shapes:
-            yield shape[0] * shape[1], replace(cfg, ris_shape=tuple(shape))
+            yield shape[0] * shape[1], replace(cfg, ris_shape=shape)
     elif experiment == "kgr_vs_m":
         _needs(cfg, "sweep_bs_shapes", experiment)
         for shape in cfg.sweep_bs_shapes:
-            yield shape[0] * shape[1], replace(cfg, bs_shape=tuple(shape))
+            yield shape[0] * shape[1], replace(cfg, bs_shape=shape)
     elif experiment == "kgr_vs_eve_radius":
         _needs(cfg, "sweep_eve_radius_m", experiment)
         for radius in cfg.sweep_eve_radius_m:
-            yield radius, replace(cfg, eve_radius_m=float(radius))
+            yield radius, replace(cfg, eve_radius_m=radius)
     else:
         raise ValueError(f"no sweep defined for experiment {experiment!r}")
 
@@ -261,8 +259,8 @@ def _stack_draws(draws):
 def _run_sweep(cfg, experiment):
     """Common driver: per sweep value, trial, and method, build the
     scenario, run the design, and record what the experiment measures of
-    it.  Every sweep point's config is validated before the first trial
-    runs.
+    it.  Every sweep point's config is built, and so checked, before the
+    first trial runs.
 
     ``bdr_vs_power`` probes each design on a pool of one thread per CPU
     the process may use.  Draws and designs stay on this thread, in row
@@ -278,8 +276,6 @@ def _run_sweep(cfg, experiment):
     design alone; a rate that is not finite raises ConfigError."""
     _check_methods(cfg)
     points = list(_sweep_configs(cfg, experiment))
-    for _, sub in points:
-        sub.validate()
     rows, timings = [], []
     workers = _cpu_count()
     in_flight = _IN_FLIGHT_PER_WORKER * workers
@@ -346,7 +342,6 @@ def run_experiment(experiment, cfg, out_dir):
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"known: {list(EXPERIMENTS)}")
-    cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
 
     rows, timings = _run_sweep(cfg, experiment)

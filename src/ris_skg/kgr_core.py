@@ -51,12 +51,15 @@ def design_gains(corr, w, v):
 
     ``w`` is (..., M) and ``v`` (..., N) with the same leading shape; each
     scalar comes back with that shape (a NumPy scalar for one design),
-    computed design by design.
+    computed design by design.  The real matrices are cast to complex once
+    here, not by NumPy inside every product; the products are the same.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    per_design = [(np.real(wi @ corr.bs_corr @ np.conj(wi)),
-                   np.real(np.conj(vi) @ corr.ris_had @ vi),
+    bs_corr = corr.bs_corr.astype(complex)
+    ris_had = corr.ris_had.astype(complex)
+    per_design = [(np.real(wi @ bs_corr @ np.conj(wi)),
+                   np.real(np.conj(vi) @ ris_had @ vi),
                    np.real(np.vdot(wi, wi)))
                   for wi, vi in zip(w.reshape(-1, w.shape[-1]),
                                     v.reshape(-1, v.shape[-1]))]

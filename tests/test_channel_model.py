@@ -1,6 +1,6 @@
 """Configuration parsing and second-order channel statistics."""
 
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -11,7 +11,8 @@ from scipy.special import j0
 from scipy.stats import ks_2samp
 
 from ris_skg import channel_model as cm
-from ris_skg.harness import bit_disagreement, quantize_median_bits
+from ris_skg.harness import (bit_disagreement, build_config,
+                             quantize_median_bits)
 
 import oracles
 
@@ -34,7 +35,7 @@ def test_parse_round_trip():
     sweep_ris_shapes = 5x2, 5x4
     alice_pos = 1, 2, 3
     """
-    cfg = cm.parse_config_text(text)
+    cfg = cm.ScenarioConfig(**cm.parse_config_values(text))
     assert cfg.bs_shape == (5, 3)
     assert cfg.ris_shape == (4, 4)
     assert np.prod(cfg.bs_shape) == 15 and np.prod(cfg.ris_shape) == 16
@@ -82,8 +83,9 @@ def test_every_field_round_trips_through_config_text(field):
 
 
 def test_parse_base_overrides():
-    cfg = cm.parse_config_text("trials = 7", base={"seed": 9, "trials": 3})
-    assert cfg.trials == 7 and cfg.seed == 9
+    # the file's value wins over the preset's, and the preset fills the rest
+    cfg = build_config("desk", "trials = 7\nseed = 9")
+    assert cfg.trials == 7 and cfg.seed == 9 and cfg.ris_shape == (6, 4)
 
 
 @pytest.mark.parametrize("bad", [
@@ -98,7 +100,7 @@ def test_parse_base_overrides():
 ])
 def test_parse_rejects_malformed_lines(bad):
     with pytest.raises(cm.ConfigError):
-        cm.parse_config_text(bad)
+        cm.parse_config_values(bad)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -112,11 +114,13 @@ def test_parse_rejects_malformed_lines(bad):
     ("probe_rounds", 1),
     ("bs_shape", (0, 3)),
     ("bsum_tol", 0.0),
+    ("trials", 2.5),
+    ("alice_pos", (1.0, 2.0)),
 ])
 def test_validate_rejects_bad_fields(field, value):
-    cfg = cm.ScenarioConfig(**{field: value})
+    # checked when built: no invalid config exists to be run
     with pytest.raises(cm.ConfigError):
-        cfg.validate()
+        cm.ScenarioConfig(**{field: value})
 
 
 def test_config_hash_tracks_content():
@@ -216,25 +220,17 @@ def test_memoized_correlations_match_fresh_ones(field, value):
 
 
 def test_memo_hit_still_rejects_an_invalid_config():
-    # the memo is keyed on every field value, so an invalid config never
-    # finds a valid one's entry, even one with the same geometry
+    # the memo is keyed on the config, which is checked when built and
+    # cannot change afterwards, so no invalid config reaches it, even one
+    # with the geometry of a config already memoized
     cfg = cm.ScenarioConfig(eve_count=2)
     cm.build_correlations(cfg, np.random.default_rng(0))
     for field, value in (("trials", 0), ("seed", -1), ("bs_corr", 1.0),
                          ("bob_pos", cfg.alice_pos)):
         with pytest.raises(cm.ConfigError):
-            cm.build_correlations(replace(cfg, **{field: value}),
-                                  np.random.default_rng(0))
-    # nor after a config that already hit the memo is changed in place
-    for _ in range(2):
-        cm.build_correlations(cfg, np.random.default_rng(0))
-    cfg.eve_radius_m = -1.0
-    with pytest.raises(cm.ConfigError, match="eve_radius_m"):
-        cm.build_correlations(cfg, np.random.default_rng(0))
-    cfg.eve_radius_m = 5.0
-    cfg.ris_shape = [5, 0]
-    with pytest.raises(cm.ConfigError, match="array shapes"):
-        cm.build_correlations(cfg, np.random.default_rng(0))
+            replace(cfg, **{field: value})
+    with pytest.raises(FrozenInstanceError):
+        cfg.eve_radius_m = -1.0
 
 
 def test_memoized_correlations_are_read_only():
@@ -251,10 +247,10 @@ def test_memoized_correlations_are_read_only():
         assert arr is again
         with pytest.raises(ValueError):
             arr[0, ...] = 0.0
-    # list shapes and numpy scalars pass validation and assembly as before
+    # list shapes and numpy scalars pass the checks and assembly as before
     cfg = cm.ScenarioConfig(ris_shape=[5, 4], bs_shape=(np.int64(5), 3),
                             bs_corr=np.float64(0.3), trials=np.int64(3),
-                            alice_pos=[5.0, 0.0, 20.0]).validate()
+                            alice_pos=[5.0, 0.0, 20.0])
     corr = cm.build_correlations(cfg, np.random.default_rng(0))
     assert corr.n_ris == 20 and corr.n_bs == 15
 

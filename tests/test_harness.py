@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,11 +38,7 @@ sweep_eve_radius_m = 2, 5
 
 
 def _tiny_cfg(**over):
-    cfg = hn.build_config("desk", _TINY)
-    if over:
-        from dataclasses import replace
-        cfg = replace(cfg, **over).validate()
-    return cfg
+    return replace(hn.build_config("desk", _TINY), **over)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +118,8 @@ def test_bundled_config_files_parse():
     assert paths, "no bundled config files found"
     for path in paths:
         for preset in ("paper", "desk"):
-            cfg = hn.build_config(preset, path.read_text(encoding="utf-8"))
-            assert cfg.validate() is cfg
+            # raises ConfigError unless the layered config passes its checks
+            hn.build_config(preset, path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("path", sorted(_CONFIG_DIR.glob("*.cfg")),
@@ -193,6 +190,34 @@ def test_results_are_byte_deterministic(tmp_path):
     with open(b["manifest"], "rb") as fh:
         man_b = fh.read()
     assert man_a == man_b
+
+
+def _types(value):
+    """The type of a config value, and of each element of a tuple."""
+    if isinstance(value, tuple):
+        return tuple, [_types(x) for x in value]
+    return type(value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", np.int64(2)),
+    ("ris_shape", [3, 2]),
+    ("ris_shape", (np.int64(3), 2)),
+    ("alice_pos", [5.0, 0.0, 20.0]),
+    ("sweep_power_dbm", [np.float64(10.0), 20]),
+])
+def test_list_and_numpy_values_make_the_plain_config(tmp_path, field, value):
+    # a value of another type that the field's kind accepts makes the very
+    # config the plain value does: equal, with the same hash, Python types
+    # throughout, and a manifest that reads back
+    plain = _tiny_cfg()
+    cfg = _tiny_cfg(**{field: value})
+    assert cfg == plain and cm.config_hash(cfg) == cm.config_hash(plain)
+    for name in vars(plain):
+        assert _types(getattr(cfg, name)) == _types(getattr(plain, name))
+    info = hn.run_experiment("kgr_vs_power", cfg, str(tmp_path))
+    with open(info["manifest"], "r", encoding="utf-8") as fh:
+        assert json.load(fh)["config_hash"] == cm.config_hash(plain)
 
 
 def test_bdr_experiment_artifacts(tmp_path):
