@@ -9,6 +9,9 @@ set -e
 
 out="${1:-runs/paper}"
 
-for exp in kgr_vs_power kgr_vs_n kgr_vs_m kgr_vs_eve_radius bdr_vs_power; do
+# every experiment the package declares (an assignment, so that set -e
+# stops the script if the package does not import)
+experiments=$(python -c 'from ris_skg.harness import EXPERIMENTS; print(*EXPERIMENTS)')
+for exp in $experiments; do
     ris-skg "$exp" --preset paper --out "$out/$exp"
 done

@@ -140,7 +140,6 @@ class BsumResult:
     converged: bool
     inner_iterations: int = 0
     rejected_steps: int = 0
-    inner_converged: bool = True
     iterates: list = None       # (block, vt, wt) expansion points if recorded
 
     @property
@@ -172,7 +171,6 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
     iterates = [] if keep_iterates else None
     inner_total = 0
     rejected = 0
-    inner_ok = True
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
@@ -183,7 +181,6 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
             res = mirror_prox_solve(sp, vt, tol=inner_tol,
                                     max_iters=inner_max_iters)
             inner_total += res.iterations
-            inner_ok = inner_ok and res.converged
             cand = pl.min_objective(prob, res.x, wt)
             if cand >= current:
                 vt, current = res.x, cand
@@ -196,7 +193,6 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
             res = mirror_prox_solve(sp, wt, tol=inner_tol,
                                     max_iters=inner_max_iters)
             inner_total += res.iterations
-            inner_ok = inner_ok and res.converged
             cand = pl.min_objective(prob, vt, res.x)
             if cand >= current:
                 wt, current = res.x, cand
@@ -216,7 +212,6 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
         converged=converged,
         inner_iterations=inner_total,
         rejected_steps=rejected,
-        inner_converged=inner_ok,
         iterates=iterates,
     )
 

@@ -16,8 +16,8 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
-from typing import get_args, get_origin, get_type_hints
+from functools import lru_cache
+from typing import get_args, get_type_hints
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -56,9 +56,10 @@ class ScenarioConfig:
     converted once at load time).  Array shapes are (horizontal, vertical)
     element counts.  Construction converts each value to its field's
     annotation (``_as_kind``), so a list or NumPy scalar makes the same
-    config as the plain tuple or number, then checks the config; a value
-    that does not convert or a failed check raises ConfigError.  The
-    annotation is also the config-file format (see ``_parse_value``).
+    config as the plain tuple or number, and a string is read as a config
+    file writes the field (``"5x4"``, ``"optimized, no_ris"``); then it
+    checks the config.  A value that does not convert or a failed check
+    raises ConfigError.
     """
 
     alice_pos: tuple[float, float, float] = (5.0, 0.0, 20.0)
@@ -122,12 +123,10 @@ class ScenarioConfig:
                               "link lengths overflow")
         if not self.methods:
             raise ConfigError("methods must name at least one design")
-        # result rows are keyed by method and sweep value (element count for
-        # a shape), so a repeat would write rows that cannot be told apart
-        for name in ("methods", "sweep_power_dbm", "sweep_ris_shapes",
-                     "sweep_bs_shapes", "sweep_eve_radius_m"):
-            keys = [k[0] * k[1] if name.endswith("_shapes") else k
-                    for k in getattr(self, name)]
+        # result rows are keyed by method and sweep value, so a repeat in a
+        # list field would write rows that cannot be told apart
+        for name in _LISTS:
+            keys = [sweep_value(k) for k in getattr(self, name)]
             if len(set(keys)) < len(keys):
                 raise ConfigError(f"{name} repeats a value")
         if min(self.bs_shape) < 1 or min(self.ris_shape) < 1:
@@ -162,44 +161,44 @@ _DB_KEYS = {
     "ref_gain_db": "ref_gain",
 }
 
-# each field's parse kind, its annotation resolved once
+# each field's parse kind, its annotation resolved once, and the list fields
 _KINDS = get_type_hints(ScenarioConfig)
-
-
-def _parse_value(text, kind):
-    """Read one config value as ``kind``: int, float or str; a fixed tuple,
-    written HxV for two ints (``5x3``) and comma-separated otherwise; or a
-    comma-separated ``tuple[X, ...]`` of any length."""
-    if kind in (int, float, str):
-        return kind(text.strip())
-    if get_origin(kind) is not tuple:
-        raise TypeError(f"no config format for {kind!r}")
-    args = get_args(kind)
-    if args[-1] is Ellipsis:
-        return tuple(_parse_value(p, args[0]) for p in text.split(",") if p.strip())
-    parts = (text.lower().replace("*", "x").split("x") if args == (int, int)
-             else text.split(","))
-    if len(parts) != len(args):
-        raise ValueError(f"expected {len(args)} values")
-    return tuple(map(_parse_value, parts, args))
+_LISTS = tuple(name for name, kind in _KINDS.items()
+               if get_args(kind)[-1:] == (Ellipsis,))
 
 
 def _as_kind(value, kind):
-    """``value`` as ``kind``, a field annotation that ``_parse_value`` reads:
-    an int through ``operator.index`` (so 2.5 is refused, not cut to 2), a
-    float or str through ``float``/``str``, and a tuple element by element,
-    a fixed tuple at its own length."""
+    """``value`` as ``kind``, a field annotation: int, float, str, a fixed
+    tuple or a ``tuple[X, ...]``.  A string is read as a config file writes
+    it: HxV for two ints (``5x3``), a comma list for other tuples, a str
+    stripped.  Anything else converts as a Python value: an int through
+    ``operator.index`` (so 2.5 is refused, not cut to 2), a tuple element
+    by element, a fixed tuple at its own length."""
+    text = isinstance(value, str)
     if kind is int:
-        return operator.index(value)
-    if kind in (float, str):
-        return kind(value)
+        return int(value) if text else operator.index(value)
+    if kind is float:
+        return float(value)
+    if kind is str:
+        return value.strip() if text else str(value)
     args = get_args(kind)
+    if text:
+        value = (value.lower().replace("*", "x").split("x")
+                 if args == (int, int) else value.split(","))
+        if args[-1] is Ellipsis:    # so a list may be empty or end in ","
+            value = [part for part in value if part.strip()]
     if args[-1] is Ellipsis:
         return tuple(_as_kind(x, args[0]) for x in value)
     value = tuple(value)
     if len(value) != len(args):
         raise ValueError(f"expected {len(args)} values")
     return tuple(map(_as_kind, value, args))
+
+
+def sweep_value(value):
+    """How a result row names an entry of a list field: a shape by its
+    element count, anything else as it is."""
+    return value[0] * value[1] if isinstance(value, tuple) else value
 
 
 def parse_config_values(text):
@@ -229,7 +228,7 @@ def parse_config_values(text):
         if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(val, _KINDS[key])
+            values[key] = _as_kind(val, _KINDS[key])
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value {val!r} for {key}: "
                               f"{exc}") from exc
@@ -243,10 +242,9 @@ def load_config(path):
 
 def config_hash(config):
     """Stable hash of the resolved config, for run manifests."""
-    items = []
-    for f in sorted(fields(config), key=lambda f: f.name):
-        items.append(f"{f.name}={getattr(config, f.name)!r}")
-    return hashlib.sha256("\n".join(items).encode()).hexdigest()[:16]
+    text = "\n".join(f"{name}={getattr(config, name)!r}"
+                     for name in sorted(_KINDS))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +329,11 @@ class CorrelationSet:
     cross-covariance rho_k I with Bob's, so its surface-side cross matrix
     is rho_k (R_ris o R_ris) and its base-station-side one rho_k R_bs.
     ``bs_corr`` and ``ris_corr`` must be real and positive semidefinite;
-    anything else raises ValueError.  Each is decomposed once, on
-    construction, into ``bs_eigh``/``ris_eigh`` (eigenvalues ascending,
-    eigenvectors), which the PSD check, the square roots and the
-    correlation-only design read.  The roots, which only probing reads, and
-    R_ris o R_ris are computed on first use.  All five are read-only.
+    anything else raises ValueError.  Construction builds, as read-only
+    attributes, what the design, the key rate and probing read: one
+    decomposition of each matrix, ``bs_eigh``/``ris_eigh`` (eigenvalues
+    ascending, eigenvectors; the PSD check reads them too), the roots
+    ``bs_corr_sqrt``/``ris_corr_sqrt`` and ``ris_had`` = R_ris o R_ris.
     """
 
     bs_corr: np.ndarray
@@ -357,37 +355,21 @@ class CorrelationSet:
             if np.iscomplexobj(mat) and np.any(mat.imag != 0):
                 raise ValueError(f"{name} must be real")
             setattr(self, name, mat.real)
-        self.bs_eigh, self.ris_eigh     # decomposed and checked here, once
+        self.bs_eigh = _checked_eigh(self.bs_corr, "bs_corr")
+        self.ris_eigh = _checked_eigh(self.ris_corr, "ris_corr")
+        self.bs_corr_sqrt = _psd_sqrt(*self.bs_eigh)
+        self.ris_corr_sqrt = _psd_sqrt(*self.ris_eigh)
+        self.ris_had = _frozen(self.ris_corr * self.ris_corr)
         self.beta_ae = np.atleast_1d(np.asarray(self.beta_ae, dtype=float))
         self.beta_re = np.atleast_1d(np.asarray(self.beta_re, dtype=float))
         self.rho_eve = np.atleast_1d(np.asarray(self.rho_eve, dtype=float))
         if not np.all((self.rho_eve >= 0.0) & (self.rho_eve <= 1.0)):
             raise ValueError("rho_eve must lie in [0, 1]")
 
-    @cached_property
-    def bs_eigh(self):
-        return _checked_eigh(self.bs_corr, "bs_corr")
-
-    @cached_property
-    def ris_eigh(self):
-        return _checked_eigh(self.ris_corr, "ris_corr")
-
-    @cached_property
-    def bs_corr_sqrt(self):
-        return _psd_sqrt(*self.bs_eigh)
-
-    @cached_property
-    def ris_corr_sqrt(self):
-        return _psd_sqrt(*self.ris_eigh)
-
-    @cached_property
-    def ris_had(self):
-        return _frozen(self.ris_corr * self.ris_corr)
-
     def with_eve(self, beta_ae, beta_re, rho_eve):
         """This set with another eavesdropper: a shallow copy with the three
         per-antenna arrays replaced and nothing checked again, so the
-        decompositions, roots and R_ris o R_ris already computed carry over.
+        decompositions, roots and R_ris o R_ris carry over.
         ``rho_eve`` must lie in [0, 1].  The antenna is each array's first
         axis; the key rate lets further axes carry a stack of draws (see
         ``kgr_core``)."""
@@ -462,8 +444,6 @@ def _shared_draw(config):
     if not _finite((corr.beta_ab, corr.beta_ar, corr.beta_rb)):
         raise ConfigError("a fixed link's path gain overflows: check the "
                           "pl_exp_* exponents and ref_gain")
-    # computed here, once, so that every draw's copy carries them
-    corr.bs_corr_sqrt, corr.ris_corr_sqrt, corr.ris_had
     return corr, alice, ris, bob
 
 

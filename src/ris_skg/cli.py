@@ -7,18 +7,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import pathlib
 import sys
 
 from . import harness
 from .channel_model import ConfigError
-
-_HELP = {
-    "kgr_vs_power": "key rate versus probing power (dBm sweep)",
-    "kgr_vs_n": "key rate versus number of surface elements",
-    "kgr_vs_m": "key rate versus number of base-station antennas",
-    "kgr_vs_eve_radius": "key rate versus eavesdropper placement radius",
-    "bdr_vs_power": "bit disagreement rate and randomness checks vs power",
-}
 
 
 def build_parser():
@@ -27,8 +20,8 @@ def build_parser():
         description="Secret-key-rate experiments for a reflecting-surface "
                     "assisted key-generation link.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in harness.EXPERIMENTS:
-        sp = sub.add_parser(name, help=_HELP.get(name))
+    for name, spec in harness.EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=spec.help)
         sp.add_argument("--config", metavar="PATH",
                         help="key = value config file layered on the preset")
         sp.add_argument("--out", metavar="DIR",
@@ -45,10 +38,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        text = None
-        if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        text = (None if args.config is None else
+                pathlib.Path(args.config).read_text(encoding="utf-8"))
         cfg = harness.build_config(args.preset, text, args.trials, args.seed)
         out_dir = args.out or os.path.join("runs", args.experiment)
         info = harness.run_experiment(args.experiment, cfg, out_dir)

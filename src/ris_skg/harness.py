@@ -17,7 +17,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 from scipy.special import erfc
@@ -26,7 +26,7 @@ from . import __version__
 from .baselines import DESIGN_METHODS
 from .channel_model import (ConfigError, ScenarioConfig, build_correlations,
                             config_hash, dbm_to_watts, parse_config_values,
-                            simulate_probing)
+                            simulate_probing, sweep_value)
 from .kgr_core import min_kgr_bits
 
 RESULTS_SCHEMA = 2
@@ -137,18 +137,6 @@ def runs_test(bits):
 # experiment plumbing
 
 
-def _check_methods(cfg):
-    for name in cfg.methods:
-        if name not in DESIGN_METHODS:
-            raise ConfigError(
-                f"unknown method {name!r}; known: {sorted(DESIGN_METHODS)}")
-
-
-def _needs(cfg, key, experiment):
-    if not getattr(cfg, key):
-        raise ConfigError(f"experiment {experiment!r} requires config key {key}")
-
-
 def _fmt(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -191,27 +179,49 @@ def _write_manifest(out_dir, experiment, cfg, files):
     return path
 
 
+# an experiment's command-line help, the list field it sweeps, a sweep point's
+# config from the base config and one entry, and whether it probes its designs
+Experiment = collections.namedtuple("Experiment", "help sweeps point probes",
+                                    defaults=(False,))
+
+
+def _at_power(cfg, p_dbm):
+    p_w = dbm_to_watts(p_dbm)
+    return replace(cfg, power_alice_w=p_w, power_bob_w=p_w)
+
+
+# every experiment, declared here only: the CLI and the sweep read this table
+EXPERIMENTS = {
+    "kgr_vs_power": Experiment("key rate versus probing power (dBm sweep)",
+                               "sweep_power_dbm", _at_power),
+    "kgr_vs_n": Experiment(
+        "key rate versus number of surface elements", "sweep_ris_shapes",
+        lambda cfg, shape: replace(cfg, ris_shape=shape)),
+    "kgr_vs_m": Experiment(
+        "key rate versus number of base-station antennas", "sweep_bs_shapes",
+        lambda cfg, shape: replace(cfg, bs_shape=shape)),
+    "kgr_vs_eve_radius": Experiment(
+        "key rate versus eavesdropper placement radius", "sweep_eve_radius_m",
+        lambda cfg, radius: replace(cfg, eve_radius_m=radius)),
+    "bdr_vs_power": Experiment(
+        "bit disagreement rate and randomness checks vs power",
+        "sweep_power_dbm", _at_power, probes=True),
+}
+
+
 def _sweep_configs(cfg, experiment):
-    """Yield (sweep_value_for_csv, per-value config) pairs."""
-    if experiment in ("kgr_vs_power", "bdr_vs_power"):
-        _needs(cfg, "sweep_power_dbm", experiment)
-        for p_dbm in cfg.sweep_power_dbm:
-            p_w = dbm_to_watts(p_dbm)
-            yield p_dbm, replace(cfg, power_alice_w=p_w, power_bob_w=p_w)
-    elif experiment == "kgr_vs_n":
-        _needs(cfg, "sweep_ris_shapes", experiment)
-        for shape in cfg.sweep_ris_shapes:
-            yield shape[0] * shape[1], replace(cfg, ris_shape=shape)
-    elif experiment == "kgr_vs_m":
-        _needs(cfg, "sweep_bs_shapes", experiment)
-        for shape in cfg.sweep_bs_shapes:
-            yield shape[0] * shape[1], replace(cfg, bs_shape=shape)
-    elif experiment == "kgr_vs_eve_radius":
-        _needs(cfg, "sweep_eve_radius_m", experiment)
-        for radius in cfg.sweep_eve_radius_m:
-            yield radius, replace(cfg, eve_radius_m=radius)
-    else:
-        raise ValueError(f"no sweep defined for experiment {experiment!r}")
+    """(sweep value for the CSV, config) for each point of the experiment's
+    sweep; ConfigError if a method is unknown or the sweep is empty."""
+    for name in cfg.methods:
+        if name not in DESIGN_METHODS:
+            raise ConfigError(
+                f"unknown method {name!r}; known: {sorted(DESIGN_METHODS)}")
+    spec = EXPERIMENTS[experiment]
+    values = getattr(cfg, spec.sweeps)
+    if not values:
+        raise ConfigError(f"experiment {experiment!r} requires config key "
+                          f"{spec.sweeps}")
+    return [(sweep_value(x), spec.point(cfg, x)) for x in values]
 
 
 def _probe_record(corr, w, v, seeds, rounds):
@@ -262,7 +272,7 @@ def _run_sweep(cfg, experiment):
     it.  Every sweep point's config is built, and so checked, before the
     first trial runs.
 
-    ``bdr_vs_power`` probes each design on a pool of one thread per CPU
+    A probing experiment probes each design on a pool of one thread per CPU
     the process may use.  Draws and designs stay on this thread, in row
     order, and each probe draws from its own streams, so the rows do not
     depend on the thread count; they are collected in submission order,
@@ -274,8 +284,8 @@ def _run_sweep(cfg, experiment):
     The key-rate experiments rate a sweep point's designs together, in one
     ``min_kgr_bits`` call after its last trial, and a timing row covers the
     design alone; a rate that is not finite raises ConfigError."""
-    _check_methods(cfg)
-    points = list(_sweep_configs(cfg, experiment))
+    probes = EXPERIMENTS[experiment].probes
+    points = _sweep_configs(cfg, experiment)
     rows, timings = [], []
     workers = _cpu_count()
     in_flight = _IN_FLIGHT_PER_WORKER * workers
@@ -301,7 +311,7 @@ def _run_sweep(cfg, experiment):
                     w, v = DESIGN_METHODS[method](corr, seeds)
                     ms = (time.perf_counter() - t0) * 1e3
                     head = (experiment, sval, trial, method)
-                    if experiment == "bdr_vs_power":
+                    if probes:
                         pending.append((head, sub.seed, ms, pool.submit(
                             _timed, _probe_record, corr, w, v, seeds,
                             sub.probe_rounds)))
@@ -330,10 +340,6 @@ def _run_sweep(cfg, experiment):
     return rows, timings
 
 
-EXPERIMENTS = ("kgr_vs_power", "kgr_vs_n", "kgr_vs_m", "kgr_vs_eve_radius",
-               "bdr_vs_power")
-
-
 def run_experiment(experiment, cfg, out_dir):
     """Run one experiment end to end and write its artifacts.
 
@@ -345,10 +351,9 @@ def run_experiment(experiment, cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
 
     rows, timings = _run_sweep(cfg, experiment)
-    if experiment == "bdr_vs_power":
-        name, columns, schema = "bdr", BDR_COLUMNS, BDR_SCHEMA
-    else:
-        name, columns, schema = "results", RESULT_COLUMNS, RESULTS_SCHEMA
+    name, columns, schema = (
+        ("bdr", BDR_COLUMNS, BDR_SCHEMA) if EXPERIMENTS[experiment].probes
+        else ("results", RESULT_COLUMNS, RESULTS_SCHEMA))
     results_path = os.path.join(out_dir, f"{name}.csv")
     _write_csv(results_path, columns, rows, name, schema, experiment)
 

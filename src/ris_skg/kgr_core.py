@@ -18,31 +18,25 @@ rate in a stack is bit-identical to its rate alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 
-@dataclass
-class EffectiveGains:
+class EffectiveGains(namedtuple("EffectiveGains",
+                                "legit eve cross combiner_sq")):
     """Effective scalar channel gains for one design (w, v), or a stack.
 
     ``legit`` is the variance of the shared reciprocal-plus-direct scalar
     seen by both legitimate ends, ``eve[k]`` the variance of eavesdropper
-    antenna k's noiseless observation, and ``cross[k]`` their covariance;
-    ``combiner_sq`` is ||w||^2, which sets the uplink noise.  For a stack of
-    designs ``legit`` and ``combiner_sq`` have the stack's shape and ``eve``
-    and ``cross`` one more leading axis, the antenna.
+    antenna k's noiseless observation, and ``cross[k]`` their covariance,
+    real under the scalar cross model; ``combiner_sq`` is ||w||^2, which
+    sets the uplink noise.  ``eve`` and ``cross`` are arrays, antenna first:
+    for a stack of designs ``legit`` and ``combiner_sq`` have the stack's
+    shape and ``eve`` and ``cross`` one more leading axis.
     """
 
-    legit: float
-    eve: np.ndarray
-    cross: np.ndarray
-    combiner_sq: float
-
-    def __post_init__(self):
-        self.eve = np.atleast_1d(np.asarray(self.eve, dtype=float))
-        self.cross = np.atleast_1d(np.asarray(self.cross, dtype=complex))
+    __slots__ = ()
 
 
 def design_gains(corr, w, v):
@@ -89,8 +83,7 @@ def eve_resolved_gain(gains, noise_power):
     The variance of the shared scalar left unexplained by eavesdropper k's
     noisy observation; always non-negative.
     """
-    a2 = np.abs(np.asarray(gains.cross)) ** 2
-    return gains.legit - a2 / (np.asarray(gains.eve, dtype=float) + noise_power)
+    return gains.legit - np.abs(gains.cross) ** 2 / (gains.eve + noise_power)
 
 
 def kgr_from_summary(f, power_bob, combiner_sq, noise_power):

@@ -116,11 +116,21 @@ def test_parse_rejects_malformed_lines(bad):
     ("bsum_tol", 0.0),
     ("trials", 2.5),
     ("alice_pos", (1.0, 2.0)),
+    pytest.param("trials", "2.5", id="trials-str-2.5"),
 ])
 def test_validate_rejects_bad_fields(field, value):
     # checked when built: no invalid config exists to be run
     with pytest.raises(cm.ConfigError):
         cm.ScenarioConfig(**{field: value})
+
+
+def test_a_string_is_read_as_a_config_file_writes_it():
+    # a bare string for a list field is one entry, not its characters
+    assert cm.ScenarioConfig(methods="no_ris").methods == ("no_ris",)
+    cfg = cm.ScenarioConfig(ris_shape="6x4", bs_corr=" 0.25 ",
+                            sweep_bs_shapes="5x1, 5x2,")
+    assert cfg == cm.ScenarioConfig(ris_shape=(6, 4), bs_corr=0.25,
+                                    sweep_bs_shapes=((5, 1), (5, 2)))
 
 
 def test_config_hash_tracks_content():

@@ -1,5 +1,6 @@
 """Quantization, randomness checks, experiment artifacts, and the CLI."""
 
+import argparse
 import itertools
 import json
 import os
@@ -205,6 +206,10 @@ def _types(value):
     ("ris_shape", (np.int64(3), 2)),
     ("alice_pos", [5.0, 0.0, 20.0]),
     ("sweep_power_dbm", [np.float64(10.0), 20]),
+    ("trials", "2"),
+    ("ris_shape", "3x2"),
+    ("methods", "optimized, no_ris"),
+    ("sweep_power_dbm", "10, 20"),
 ])
 def test_list_and_numpy_values_make_the_plain_config(tmp_path, field, value):
     # a value of another type that the field's kind accepts makes the very
@@ -519,6 +524,17 @@ def test_cli_rejects_missing_config(tmp_path, capsys):
     rc = cli.main(["kgr_vs_power", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path / "run")])
     assert rc == 2
+
+
+def test_cli_and_sweeps_read_the_experiment_table():
+    # one subcommand per experiment, with the table's help, and each sweeps
+    # a list field of the config
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert {a.dest: a.help for a in sub._choices_actions} == {
+        name: spec.help for name, spec in hn.EXPERIMENTS.items()}
+    assert all(spec.sweeps in cm._LISTS for spec in hn.EXPERIMENTS.values())
 
 
 def test_cli_requires_subcommand():
