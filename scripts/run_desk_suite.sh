@@ -1,7 +1,7 @@
 #!/bin/sh
 # Run every experiment at desk scale (reduced trials, capped array sizes).
-# Takes about 7-9 s on a 2-core box with one BLAS thread, 3.9-5.4 s of it
-# in bdr_vs_power; artifacts land under runs/desk/<experiment>/.
+# Takes 3.7-4.6 s on a 2-core box with one BLAS thread, 2.5-2.9 s of it in
+# bdr_vs_power; artifacts land under runs/desk/<experiment>/.
 set -e
 
 out="${1:-runs/desk}"

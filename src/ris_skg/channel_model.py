@@ -11,7 +11,6 @@ depending on their separation in wavelengths.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 import operator
@@ -20,8 +19,6 @@ from functools import lru_cache
 from typing import get_args, get_type_hints
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.special import j0
 
 
 class ConfigError(ValueError):
@@ -173,7 +170,11 @@ def _as_kind(value, kind):
     it: HxV for two ints (``5x3``), a comma list for other tuples, a str
     stripped.  Anything else converts as a Python value: an int through
     ``operator.index`` (so 2.5 is refused, not cut to 2), a tuple element
-    by element, a fixed tuple at its own length."""
+    by element, a fixed tuple at its own length.  Bytes, which would
+    convert byte by byte, and a bool for a number are refused."""
+    if isinstance(value, (bytes, bytearray)) or (
+            kind in (int, float) and isinstance(value, (bool, np.bool_))):
+        raise TypeError(f"a {type(value).__name__} is not a config value")
     text = isinstance(value, str)
     if kind is int:
         return int(value) if text else operator.index(value)
@@ -255,7 +256,8 @@ def exp_corr_matrix(n, rho):
     """Exponential Toeplitz correlation, entry (i, j) = rho^|i-j|."""
     if n < 1:
         raise ValueError("n must be positive")
-    return toeplitz(rho ** np.arange(n)).astype(float)
+    idx = np.arange(n)
+    return (float(rho) ** idx)[abs(idx[:, None] - idx)]
 
 
 def bs_correlation(shape, rho):
@@ -281,19 +283,71 @@ def ris_correlation(shape, spacing_m, wavelength_m):
     return np.sinc(2.0 * dist / wavelength_m)
 
 
+# J0 below _J0_SPLIT: the mean of cos(x sin t) over 48 equally spaced t in
+# [0, pi), the trapezoid rule for (1/pi) int_0^pi cos(x sin t) dt.  The
+# integrand has period pi, so the rule's error is 2 J_96(x), below 1e-40
+# for x < 20: the rule is exact to rounding.
+_J0_SPLIT = 20.0
+_J0_SIN = np.sin(np.pi * np.arange(48) / 48)
+_J0_MEAN = np.full(48, 1.0 / 48)
+
+
+def _hankel_coefficients(terms):
+    """(2 terms, 2) columns of the P and Q series of J0's Hankel expansion
+    (Abramowitz & Stegun 9.2.5) in powers 1/x^k, k < 2 terms: P takes the
+    even k, Q the odd, each signed (-1)^(k // 2), from
+    a_k = -a_(k-1) (2k - 1)^2 / (8k), a_0 = 1."""
+    coef = np.zeros((2 * terms, 2))
+    a = 1.0
+    for k in range(2 * terms):
+        if k:
+            a *= -(2 * k - 1) ** 2 / (8 * k)
+        coef[k, k % 2] = (-1) ** (k // 2) * a
+    return coef
+
+
+# 14 terms each (at x = 20 the first one dropped is below 1e-17), scaled by
+# sqrt(2 / pi) and taken at the powers x^-(k + 1/2), so that they sum to
+# the expansion's amplitude sqrt(2 / (pi x)) times P and Q
+_J0_HANKEL = np.sqrt(2.0 / np.pi) * _hankel_coefficients(14)
+_J0_POWERS = -0.5 - np.arange(len(_J0_HANKEL))
+_FLOAT_MAX = np.finfo(float).max
+
+
+def bessel_j0(x):
+    """Bessel function of the first kind of order 0, elementwise; within
+    1e-15 of scipy.special.j0.  From 20 on the Hankel expansion
+    sqrt(2 / (pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)), so that
+    J0(inf) = 0 without a warning; below 20 a trapezoid rule on its
+    integral, evaluated for those arguments only."""
+    x = np.abs(np.asarray(x, dtype=float))
+    far = np.maximum(x, _J0_SPLIT)
+    pq = far[..., None] ** _J0_POWERS @ _J0_HANKEL
+    # inf as the largest float keeps cos and sin finite; its amplitude is 0
+    chi = np.minimum(far, _FLOAT_MAX) - np.pi / 4
+    out = pq[..., 0] * np.cos(chi) - pq[..., 1] * np.sin(chi)
+    near = x < _J0_SPLIT
+    if near.any():
+        out = np.asarray(out)     # a NumPy scalar for a 0-d x
+        out[near] = np.cos(x[near][:, None] * _J0_SIN) @ _J0_MEAN
+    return out
+
+
 def eve_cross_correlation(distance_m, wavelength_m):
     """Channel-gain correlation [J0(2 pi d / lambda)]^2 between two antennas
     separated by d in an isotropic scattering field."""
-    return j0(2.0 * np.pi * np.asarray(distance_m, dtype=float) / wavelength_m) ** 2
+    return bessel_j0(2.0 * np.pi * np.asarray(distance_m, dtype=float)
+                     / wavelength_m) ** 2
 
 
 def path_loss_gain(distance_m, exponent, ref_gain):
     """Large-scale channel-variance factor sqrt(ref_gain * d^-alpha) at the
-    given distance; one too large for a float comes out inf, without an
-    overflow warning, for the caller's finiteness check to reject."""
+    given distance; the exponent broadcasts against it.  A factor too large
+    for a float comes out inf, without an overflow warning, for the
+    caller's finiteness check to reject."""
     with np.errstate(over="ignore"):
         return np.sqrt(ref_gain * np.asarray(distance_m, dtype=float)
-                       ** (-float(exponent)))
+                       ** -np.asarray(exponent, dtype=float))
 
 
 def _frozen(arr):
@@ -373,8 +427,10 @@ class CorrelationSet:
         ``rho_eve`` must lie in [0, 1].  The antenna is each array's first
         axis; the key rate lets further axes carry a stack of draws (see
         ``kgr_core``)."""
-        out = copy.copy(self)
-        out.beta_ae, out.beta_re, out.rho_eve = beta_ae, beta_re, rho_eve
+        # the shallow copy copy.copy makes, at a third of its cost
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, beta_ae=beta_ae, beta_re=beta_re,
+                            rho_eve=rho_eve)
         return out
 
     @property
@@ -401,11 +457,11 @@ class CorrelationSet:
 
 def draw_eve_positions(config, rng):
     """Uniform placement of Eve's antennas in a disc of radius eve_radius_m
-    around Bob at Bob's height."""
-    r = config.eve_radius_m * np.sqrt(rng.uniform(size=config.eve_count))
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=config.eve_count)
-    bob = np.asarray(config.bob_pos)
-    pos = np.tile(bob, (config.eve_count, 1))
+    around Bob at Bob's height.  ``rng.random`` draws the same numbers as
+    ``rng.uniform``, with less overhead per call."""
+    r = config.eve_radius_m * np.sqrt(rng.random(config.eve_count))
+    theta = 2.0 * np.pi * rng.random(config.eve_count)
+    pos = np.full((config.eve_count, 3), config.bob_pos)
     pos[:, 0] += r * np.cos(theta)
     pos[:, 1] += r * np.sin(theta)
     return pos
@@ -416,10 +472,12 @@ def _shared_draw(config):
     """What every Eve draw of one config shares, built once and keyed on
     the config itself (an immutable value, checked when it was built): a
     CorrelationSet with the arrays' statistics, the fixed links' gains and
-    the powers but no eavesdropper, and the positions of Alice, the surface
-    and Bob.  Every array the draws share is read-only: both matrices,
-    their decompositions and roots, and R_ris o R_ris.  A fixed link's gain
-    that overflows raises ConfigError."""
+    the powers but no eavesdropper; the positions of Alice, the surface and
+    Bob as the rows of one (3, 3) array; and the path-loss exponents of the
+    Alice-Eve and surface-Eve links as a (2, 1) column.  Every array the
+    draws share is read-only: both matrices, their decompositions and
+    roots, and R_ris o R_ris.  A fixed link's gain that overflows raises
+    ConfigError."""
     alice = np.asarray(config.alice_pos)
     bob = np.asarray(config.bob_pos)
     ris = np.asarray(config.ris_pos)
@@ -444,7 +502,10 @@ def _shared_draw(config):
     if not _finite((corr.beta_ab, corr.beta_ar, corr.beta_rb)):
         raise ConfigError("a fixed link's path gain overflows: check the "
                           "pl_exp_* exponents and ref_gain")
-    return corr, alice, ris, bob
+    ends = _frozen(np.array([alice, ris, bob]))
+    eve_exponents = _frozen(np.array([[config.pl_exp_alice_eve],
+                                      [config.pl_exp_ris_eve]]))
+    return corr, ends, eve_exponents
 
 
 def build_correlations(config, rng):
@@ -454,16 +515,15 @@ def build_correlations(config, rng):
     by the config and built once per distinct config (a few are memoized),
     so a trial pays for Eve's draw alone.
     """
-    shared, alice, ris, bob = _shared_draw(config)
-    eve = draw_eve_positions(config, rng)
+    shared, ends, eve_exponents = _shared_draw(config)
+    diff = draw_eve_positions(config, rng) - ends[:, None]
+    # each antenna's distance to Alice, the surface and Bob, as
+    # np.linalg.norm computes it
+    dist = np.sqrt(np.add.reduce(diff * diff, -1))
+    beta_ae, beta_re = path_loss_gain(dist[:2], eve_exponents, config.ref_gain)
     return shared.with_eve(
-        beta_ae=path_loss_gain(np.linalg.norm(eve - alice, axis=1),
-                               config.pl_exp_alice_eve, config.ref_gain),
-        beta_re=path_loss_gain(np.linalg.norm(eve - ris, axis=1),
-                               config.pl_exp_ris_eve, config.ref_gain),
-        rho_eve=eve_cross_correlation(np.linalg.norm(eve - bob, axis=1),
-                                      config.wavelength_m),
-    )
+        beta_ae=beta_ae, beta_re=beta_re,
+        rho_eve=eve_cross_correlation(dist[2], config.wavelength_m))
 
 
 # ---------------------------------------------------------------------------

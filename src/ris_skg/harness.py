@@ -13,6 +13,7 @@ from __future__ import annotations
 import collections
 import csv
 import json
+import math
 import os
 import time
 import warnings
@@ -20,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
-from scipy.special import erfc
 
 from . import __version__
 from .baselines import DESIGN_METHODS
@@ -109,7 +109,7 @@ def frequency_test(bits):
     if n == 0:
         raise ValueError("empty bit sequence")
     s = np.sum(2 * bits.astype(np.int64) - 1)
-    return float(erfc(abs(s) / np.sqrt(n) / np.sqrt(2.0)))
+    return math.erfc(abs(s) / np.sqrt(n) / np.sqrt(2.0))
 
 
 def runs_test(bits):
@@ -130,7 +130,7 @@ def runs_test(bits):
     v = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * np.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return float(erfc(num / den))
+    return math.erfc(num / den)
 
 
 # ---------------------------------------------------------------------------

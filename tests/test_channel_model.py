@@ -1,5 +1,6 @@
 """Configuration parsing and second-order channel statistics."""
 
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from typing import get_args, get_type_hints
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 from scipy.special import j0
 from scipy.stats import ks_2samp
 
@@ -117,6 +119,10 @@ def test_parse_rejects_malformed_lines(bad):
     ("trials", 2.5),
     ("alice_pos", (1.0, 2.0)),
     pytest.param("trials", "2.5", id="trials-str-2.5"),
+    # bytes would convert byte by byte, and a bool is not a count
+    pytest.param("methods", b"no_ris", id="methods-bytes"),
+    pytest.param("trials", True, id="trials-bool"),
+    pytest.param("bs_corr", np.False_, id="bs_corr-numpy-bool"),
 ])
 def test_validate_rejects_bad_fields(field, value):
     # checked when built: no invalid config exists to be run
@@ -164,6 +170,15 @@ def test_exp_corr_matrix_structure(n, rho):
     idx = np.arange(n)
     assert np.allclose(r, rho ** np.abs(idx[:, None] - idx[None, :]))
     assert np.linalg.eigvalsh(r).min() > -1e-10
+
+
+@pytest.mark.parametrize("rho", [0, 0.2, 0.3, 0.95])
+def test_exp_corr_matrix_equals_toeplitz(rho):
+    # the powers indexed by |i - j| are the Toeplitz matrix of the powers
+    for n in range(1, 30):
+        r = cm.exp_corr_matrix(n, rho)
+        assert r.dtype == float
+        assert np.array_equal(r, toeplitz(rho ** np.arange(n)))
 
 
 def test_bs_correlation_is_separable():
@@ -285,6 +300,28 @@ def test_eve_cross_correlation_values():
     assert 0.0 <= far < 1e-2
 
 
+@pytest.mark.parametrize("x", [
+    np.linspace(0.0, 20.0, 20001),              # the trapezoid rule
+    np.linspace(20.0, 1e4, 50001),              # the Hankel expansion
+    np.linspace(19.0, 21.0, 4001).reshape(1, -1, 1),
+    np.nextafter(20.0, [0.0, np.inf]),
+    np.float64(7.5),
+], ids=["near", "far", "split", "split-neighbours", "scalar"])
+def test_bessel_j0_matches_scipy(x):
+    got = cm.bessel_j0(x)
+    assert got.shape == np.shape(x)
+    assert np.abs(got - j0(x)).max() <= 1e-15
+    assert np.array_equal(cm.bessel_j0(-x), got)
+
+
+def test_bessel_j0_is_zero_at_infinity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cm.bessel_j0(np.inf) == 0.0
+        assert np.array_equal(cm.bessel_j0([np.inf, 0.0, -np.inf]),
+                              [0.0, 1.0, 0.0])
+
+
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -307,6 +344,14 @@ def test_draw_eve_positions_inside_disc():
     dist = np.linalg.norm(pos[:, :2] - np.asarray(cfg.bob_pos)[:2], axis=1)
     assert dist.max() <= cfg.eve_radius_m + 1e-12
     assert dist.min() < cfg.eve_radius_m  # not all on the rim
+    # the same positions as from rng.uniform's draws
+    rng = np.random.default_rng(0)
+    r = cfg.eve_radius_m * np.sqrt(rng.uniform(size=cfg.eve_count))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=cfg.eve_count)
+    assert np.array_equal(pos, np.tile(cfg.bob_pos, (cfg.eve_count, 1))
+                          + np.column_stack([r * np.cos(theta),
+                                             r * np.sin(theta),
+                                             np.zeros(cfg.eve_count)]))
 
 
 def test_build_correlations_matches_geometry():

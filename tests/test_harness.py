@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -13,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from ris_skg import channel_model as cm
 from ris_skg import cli
@@ -89,6 +91,25 @@ def test_runs_test_known_answers():
     assert hn.runs_test([1] * 90 + [0] * 10) == 0.0
     with pytest.raises(ValueError):
         hn.runs_test([1])
+
+
+@pytest.mark.parametrize("pairs, ones", [(240, 500), (270, 517), (290, 540),
+                                         (300, 560), (310, 503)])
+def test_p_values_match_scipy_erfc(pairs, ones):
+    # both tests take their p-value from math.erfc; scipy's erfc on the same
+    # statistic is the reference.  1000 bits: ``pairs`` pairs 0, 1, then a
+    # block of 0s and a block of 1s, so 2 pairs + 2 runs; p goes down to
+    # 1.5e-4 (frequency) and 1.2e-14 (runs)
+    bits = np.repeat([0, 1] * pairs + [0, 1],
+                     [1] * 2 * pairs + [1000 - pairs - ones, ones - pairs])
+    s = 2 * ones - 1000
+    assert hn.frequency_test(bits) == pytest.approx(
+        erfc(abs(s) / np.sqrt(1000) / np.sqrt(2.0)), rel=1e-14, abs=0.0)
+    pi = ones / 1000
+    runs = 2 * pairs + 2
+    assert hn.runs_test(bits) == pytest.approx(
+        erfc(abs(runs - 2000 * pi * (1 - pi))
+             / (2 * np.sqrt(2000) * pi * (1 - pi))), rel=1e-14, abs=0.0)
 
 
 def test_random_bits_pass_both_tests():
@@ -448,6 +469,35 @@ def test_cli_runs_experiment(tmp_path, capsys):
     assert "wrote 4 rows" in out
     assert (tmp_path / "run" / "results.csv").exists()
     assert (tmp_path / "run" / "manifest.json").exists()
+
+
+# runs the CLI with scipy's import blocked: any ``import scipy...`` raises
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from ris_skg import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("experiment, name", [("kgr_vs_power", "results.csv"),
+                                              ("bdr_vs_power", "bdr.csv")])
+def test_experiments_run_without_scipy(tmp_path, experiment, name):
+    # scipy is a test dependency only: with it blocked, the CLI writes the
+    # bytes that it writes here, where the tests have scipy loaded
+    args = [experiment, "--preset", "desk",
+            "--config", str(_CONFIG_DIR / "desk_quick.cfg")]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    bare = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _WITHOUT_SCIPY,
+         *args, "--out", str(tmp_path / "bare")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert bare.returncode == 0, bare.stderr
+    assert cli.main([*args, "--out", str(tmp_path / "here")]) == 0
+    assert ((tmp_path / "bare" / name).read_bytes()
+            == (tmp_path / "here" / name).read_bytes())
 
 
 @pytest.mark.parametrize("line", [
