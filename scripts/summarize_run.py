@@ -9,18 +9,13 @@ plotting stack.
 """
 
 import argparse
-import csv
 import statistics
 import sys
 from collections import defaultdict
 
+from ris_skg.harness import read_csv_rows
+
 METRICS = ("min_kgr_bits", "bdr", "milliseconds")
-
-
-def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
 
 
 def main(argv=None):
@@ -28,7 +23,7 @@ def main(argv=None):
     parser.add_argument("csv_path", help="results.csv, bdr.csv or timings.csv")
     args = parser.parse_args(argv)
 
-    rows = load(args.csv_path)
+    rows = read_csv_rows(args.csv_path)
     if not rows:
         print("no data rows", file=sys.stderr)
         return 1

@@ -28,19 +28,18 @@ from .mirror_prox import from_minorants, mirror_prox_solve
 CURVATURE_FLOOR = 1e-12
 
 
-def curvature_v(prob, wt):
+def curvature_v(prob, w):
     """Per-eavesdropper curvature bounds for the reflection block.
 
-    Polynomial in the combiner form m = wt'Rs wt and the spectra of the
-    surface-side matrices, which are closed-form in lam_max(H) since every
-    one is a non-negative combination of H and the identity; floored at a
-    tiny positive value so the surrogates stay strongly concave even when
-    every cross term vanishes.
+    Polynomial in the combiner form m = Re(w^H R_bs w) and the spectra of
+    the surface-side matrices, which are closed-form in lam_max(H) since
+    every one is a non-negative combination of H and the identity; floored
+    at a tiny positive value so the surrogates stay strongly concave even
+    when every cross term vanishes.
     """
-    wt = np.asarray(wt, dtype=float)
     n = float(prob.n_ris)
     sig2 = prob.noise_power
-    m_w = float(wt @ prob.r_s @ wt)
+    m_w = float(pl.real_inner(w, prob.r_s @ w))
     lam_r_e = prob.eve_had * prob.lam_had + prob.eve_eye
     lam_qhat = m_w * prob.cross_had * prob.lam_had
     top_q = prob.cross_direct * m_w + n * lam_qhat
@@ -53,19 +52,18 @@ def curvature_v(prob, wt):
     return np.maximum(bound, CURVATURE_FLOOR)
 
 
-def curvature_w(prob, vt):
+def curvature_w(prob, v):
     """Per-eavesdropper curvature bounds for the combiner block.
 
     Built from the spectrum of the aggregated matrix
-    Qbar_k = (c_k h + e_k) Rs, a non-negative multiple of Rs that depends
-    on the current reflection vector through h = vt'H vt; same floor as
-    the other block.
+    Qbar_k = (c_k h + e_k) R_bs, a non-negative multiple of R_bs that
+    depends on the current reflection vector through h = Re(v^H H v); same
+    floor as the other block.
     """
-    vt = np.asarray(vt, dtype=float)
     pa = prob.power_alice
     sig2 = prob.noise_power
-    h = float(vt @ prob.had @ vt)
-    r_v = prob.eve_had * h + prob.eve_eye * float(vt @ vt)
+    h = float(pl.real_inner(v, prob.had @ v))
+    r_v = prob.eve_had * h + prob.eve_eye * float(pl.real_inner(v, v))
     lam_qbar = (prob.cross_had * h + prob.cross_direct) * prob.lam_r_s
 
     bound = (2.0 * pa / sig2) * (
@@ -76,24 +74,24 @@ def curvature_w(prob, vt):
     return np.maximum(bound, CURVATURE_FLOOR)
 
 
-def build_surrogate_v(prob, vt, wt):
-    t = pl.objective_terms(prob, vt, wt)
+def build_surrogate_v(prob, v, w):
+    t = pl.objective_terms(prob, v, w)
     return from_minorants(
-        curvature=curvature_v(prob, wt),
-        grads=pl.grad_v(prob, vt, wt, terms=t),
+        curvature=curvature_v(prob, w),
+        grads=pl.grad_v(prob, v, w, terms=t),
         values=t.f,
-        x0=vt,
+        x0=v,
         domain="discs",
     )
 
 
-def build_surrogate_w(prob, vt, wt):
-    t = pl.objective_terms(prob, vt, wt)
+def build_surrogate_w(prob, v, w):
+    t = pl.objective_terms(prob, v, w)
     return from_minorants(
-        curvature=curvature_w(prob, vt),
-        grads=pl.grad_w(prob, vt, wt, terms=t),
+        curvature=curvature_w(prob, v),
+        grads=pl.grad_w(prob, v, w, terms=t),
         values=t.f,
-        x0=wt,
+        x0=w,
         domain="ball",
         power=prob.power_alice,
     )
@@ -107,7 +105,8 @@ def statistical_design(corr):
     over the relaxed set (discs x ball) and hence over unit-modulus
     phases, so it is also the exact max-min optimum that ``bsum_solve``
     approaches.  Proof, in the notation of ``problem_lift``: f_k depends
-    on the design only through m = wt'Rs wt, h = vt'H vt and s = vt'vt.
+    on the design only through m = Re(w^H R_bs w), h = Re(v^H H v) and
+    s = ||v||^2.
     With u_k = c_k h + e_k, d_k = m r_k + sigma^2 and t = m u_k / d_k,
 
     * df/ds = (m / N)(beta_ab + beta_ae,k t^2) >= 0;
@@ -132,26 +131,18 @@ def statistical_design(corr):
 
 @dataclass
 class BsumResult:
-    vt: np.ndarray
-    wt: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
     objective: float
     trace: np.ndarray            # worst-case gain after each outer iteration
     iterations: int
     converged: bool
     inner_iterations: int = 0
     rejected_steps: int = 0
-    iterates: list = None       # (block, vt, wt) expansion points if recorded
-
-    @property
-    def v(self):
-        return pl.unlift_vector(self.vt)
-
-    @property
-    def w(self):
-        return pl.combiner_from_lifted(self.wt)
+    iterates: list = None       # (block, v, w) expansion points if recorded
 
 
-def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
+def bsum_solve(prob, v0, w0, blocks="vw", tol=1e-4, max_iters=200,
                inner_tol=1e-6, inner_max_iters=2000, keep_iterates=False):
     """Alternating surrogate maximization from a feasible start.
 
@@ -159,14 +150,14 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
     combiner each outer iteration), "v", or "w".  Stops when one outer
     iteration improves the worst-case gain by at most ``tol``.
     ``keep_iterates`` records every surrogate expansion point as
-    (block, vt, wt) tuples for diagnostics.
+    (block, v, w) tuples for diagnostics.
     """
     if blocks not in ("vw", "v", "w"):
         raise ValueError(f"blocks must be 'vw', 'v' or 'w', got {blocks!r}")
-    vt = pl.project_discs(np.asarray(vt0, dtype=float))
-    wt = pl.project_ball(np.asarray(wt0, dtype=float), prob.power_alice)
+    v = pl.project_discs(np.asarray(v0, dtype=complex))
+    w = pl.project_ball(np.asarray(w0, dtype=complex), prob.power_alice)
 
-    current = pl.min_objective(prob, vt, wt)
+    current = pl.min_objective(prob, v, w)
     trace = [current]
     iterates = [] if keep_iterates else None
     inner_total = 0
@@ -176,26 +167,26 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
     for it in range(1, max_iters + 1):
         if "v" in blocks:
             if keep_iterates:
-                iterates.append(("v", vt.copy(), wt.copy()))
-            sp = build_surrogate_v(prob, vt, wt)
-            res = mirror_prox_solve(sp, vt, tol=inner_tol,
+                iterates.append(("v", v.copy(), w.copy()))
+            sp = build_surrogate_v(prob, v, w)
+            res = mirror_prox_solve(sp, v, tol=inner_tol,
                                     max_iters=inner_max_iters)
             inner_total += res.iterations
-            cand = pl.min_objective(prob, res.x, wt)
+            cand = pl.min_objective(prob, res.x, w)
             if cand >= current:
-                vt, current = res.x, cand
+                v, current = res.x, cand
             else:
                 rejected += 1
         if "w" in blocks:
             if keep_iterates:
-                iterates.append(("w", vt.copy(), wt.copy()))
-            sp = build_surrogate_w(prob, vt, wt)
-            res = mirror_prox_solve(sp, wt, tol=inner_tol,
+                iterates.append(("w", v.copy(), w.copy()))
+            sp = build_surrogate_w(prob, v, w)
+            res = mirror_prox_solve(sp, w, tol=inner_tol,
                                     max_iters=inner_max_iters)
             inner_total += res.iterations
-            cand = pl.min_objective(prob, vt, res.x)
+            cand = pl.min_objective(prob, v, res.x)
             if cand >= current:
-                wt, current = res.x, cand
+                w, current = res.x, cand
             else:
                 rejected += 1
         trace.append(current)
@@ -204,8 +195,8 @@ def bsum_solve(prob, vt0, wt0, blocks="vw", tol=1e-4, max_iters=200,
             break
 
     return BsumResult(
-        vt=vt,
-        wt=wt,
+        v=v,
+        w=w,
         objective=current,
         trace=np.asarray(trace),
         iterations=it,
@@ -221,11 +212,12 @@ def optimize_design(corr, tol=1e-4, max_iters=200, inner_tol=1e-6,
     """Optimize the design for a correlation set and return (w, v, result).
 
     ``init`` may supply a complex (w, v) warm start; the default is the
-    correlation-only design.
+    correlation-only design.  Both pass to the solver as they are: R_bs is
+    real (``CorrelationSet`` rejects complex correlations), so the
+    solver's m = Re(w^H R_bs w) is the key rate's w^T R_bs w*.
     """
     prob = pl.build_lifted(corr)
     w0, v0 = statistical_design(corr) if init is None else init
-    res = bsum_solve(prob, pl.lift_vector(v0), pl.lift_combiner(w0), tol=tol,
-                     max_iters=max_iters, inner_tol=inner_tol,
-                     inner_max_iters=inner_max_iters)
+    res = bsum_solve(prob, v0, w0, tol=tol, max_iters=max_iters,
+                     inner_tol=inner_tol, inner_max_iters=inner_max_iters)
     return res.w, res.v, res

@@ -236,11 +236,6 @@ def parse_config_values(text):
     return values
 
 
-def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return ScenarioConfig(**parse_config_values(fh.read()))
-
-
 def config_hash(config):
     """Stable hash of the resolved config, for run manifests."""
     text = "\n".join(f"{name}={getattr(config, name)!r}"

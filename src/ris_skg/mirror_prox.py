@@ -1,10 +1,11 @@
 """Extragradient (mirror-prox) solver for the per-block max-min step.
 
 Each block update maximizes the worst of K concave quadratic minorants
-s_k(x) = -tau_k ||x||^2 + p_k'x + q_k over a simple convex set (per-element
-discs for the reflection block, a power ball for the combiner block).
-Internally the problem is negated into min_x max_{y in simplex} y'phi(x)
-with phi_k = tau_k ||x||^2 - p_k'x - q_k and solved with a mirror-prox
+s_k(x) = -tau_k ||x||^2 + Re(p_k^H x) + q_k over a simple convex set
+(per-element discs for the reflection block, a power ball for the combiner
+block) in C^D, treated as R^2D under Re(x^H y).  Internally the problem is
+negated into min_x max_{y in simplex} y'phi(x) with
+phi_k = tau_k ||x||^2 - Re(p_k^H x) - q_k and solved with a mirror-prox
 scheme: Euclidean geometry on x, entropy geometry on y, ergodic averaging,
 and a Bregman-distance stopping rule.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem_lift import project_ball, project_discs
+from .problem_lift import project_ball, project_discs, real_inner
 
 _ENTROPY_FLOOR = 1e-300
 _DIVERGENCE_LOOKBACK = 100
@@ -28,17 +29,17 @@ class DivergenceError(RuntimeError):
 @dataclass
 class SaddleProblem:
     """min over the x-domain, max over the K-simplex of y' phi(x) with
-    phi_k(x) = quad_k ||x||^2 + lin_k'x + const_k (quad_k >= 0)."""
+    phi_k(x) = quad_k ||x||^2 + Re(lin_k^H x) + const_k (quad_k >= 0)."""
 
     quad: np.ndarray    # (K,)
-    lin: np.ndarray     # (K, D)
+    lin: np.ndarray     # (K, D) complex
     const: np.ndarray   # (K,)
     domain: str         # "discs" or "ball"
     power: float = 1.0  # ball radius squared (ignored for discs)
 
     def __post_init__(self):
         self.quad = np.atleast_1d(np.asarray(self.quad, dtype=float))
-        self.lin = np.atleast_2d(np.asarray(self.lin, dtype=float))
+        self.lin = np.atleast_2d(np.asarray(self.lin, dtype=complex))
         self.const = np.atleast_1d(np.asarray(self.const, dtype=float))
         if self.domain not in ("discs", "ball"):
             raise ValueError(f"unknown domain {self.domain!r}")
@@ -57,23 +58,24 @@ class SaddleProblem:
     def radius(self):
         """Largest Euclidean norm attainable in the x-domain."""
         if self.domain == "discs":
-            return np.sqrt(self.dim / 2.0)
+            return np.sqrt(self.dim)
         return np.sqrt(self.power)
 
 
 def from_minorants(curvature, grads, values, x0, domain, power=1.0):
     """Negated saddle problem for the quadratic minorants tangent at x0.
 
-    Each minorant s_k(x) = values_k + grads_k'(x - x0)
+    Each minorant s_k(x) = values_k + Re(grads_k^H (x - x0))
     - curvature_k/2 ||x - x0||^2 agrees with the modelled function and its
     gradient at x0 by construction.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=complex)
     curvature = np.atleast_1d(np.asarray(curvature, dtype=float))
-    grads = np.atleast_2d(np.asarray(grads, dtype=float))
+    grads = np.atleast_2d(np.asarray(grads, dtype=complex))
     values = np.atleast_1d(np.asarray(values, dtype=float))
     p = grads + curvature[:, None] * x0[None, :]
-    q = values - grads @ x0 - 0.5 * curvature * (x0 @ x0)
+    q = (values - real_inner(grads, x0)
+         - 0.5 * curvature * real_inner(x0, x0))
     return SaddleProblem(
         quad=curvature / 2.0,
         lin=-p,
@@ -84,7 +86,7 @@ def from_minorants(curvature, grads, values, x0, domain, power=1.0):
 
 
 def phi_values(sp, x):
-    return sp.quad * (x @ x) + sp.lin @ x + sp.const
+    return sp.quad * real_inner(x, x) + real_inner(sp.lin, x) + sp.const
 
 
 def minorant_values(sp, x):
@@ -128,7 +130,7 @@ def bregman(x_new, y_new, x_old, y_old):
     y_new = np.clip(y_new, _ENTROPY_FLOOR, None)
     y_old = np.clip(y_old, _ENTROPY_FLOOR, None)
     kl = float(np.sum(y_new * np.log(y_new / y_old)) - np.sum(y_new - y_old))
-    return 0.5 * float(dx @ dx) + kl
+    return 0.5 * float(real_inner(dx, dx)) + kl
 
 
 def _prox_step(sp, x, y, gx, gy, alpha):
@@ -156,7 +158,8 @@ def mirror_prox_solve(sp, x0, tol=1e-6, max_iters=2000):
     when the Bregman step distance grows by 10x over a 100-iteration window
     while staying above an absolute floor.
     """
-    x = project_domain(sp, np.asarray(x0, dtype=float))
+    start = project_domain(sp, np.asarray(x0, dtype=complex))
+    x = start
     y = np.full(sp.n_funcs, 1.0 / sp.n_funcs)
     alpha = 1.0 / (2.0 * lipschitz_bound(sp))
 
@@ -187,7 +190,7 @@ def mirror_prox_solve(sp, x0, tol=1e-6, max_iters=2000):
                 f"after {it} iterations")
 
     x_avg = project_domain(sp, x_sum / max(it, 1))
-    candidates = [x_avg, x, project_domain(sp, np.asarray(x0, dtype=float))]
+    candidates = [x_avg, x, start]
     vals = [min_minorant(sp, c) for c in candidates]
     best = int(np.argmax(vals))
     return MirrorProxResult(

@@ -1,14 +1,13 @@
-"""Real-valued lift of the max-min effective-gain design problem.
+"""The max-min effective-gain design problem in three quadratic forms.
 
-The complex design variables are replaced by stacked real/imaginary parts:
-``vt = [Re v; Im v]`` for the reflection vector and ``wt = [Re u; Im u]``
-with ``u = conj(w)`` for the combiner, so every complex quadratic form
-``x^H A x`` becomes a real symmetric form in the lifted vector.  Under the
-scalar Eve cross model every surface-side matrix is a weighted sum of
-H = lift(R_ris o R_ris) and the identity, and every base-station-side one
-a multiple of Rs = lift(R_bs), so each per-eavesdropper effective gain
-depends on the design only through m = wt'Rs wt, h = vt'H vt and
-s = vt'vt:
+The design variables are the complex reflection vector ``v`` (N,) and
+combiner ``w`` (M,).  C^n is treated as R^2n under the inner product
+Re(x^H y) (``real_inner``), so a gradient is a complex vector of its
+variable's shape.  Under the scalar Eve cross model every surface-side
+matrix is a weighted sum of H = R_ris o R_ris and the identity, and every
+base-station-side one a multiple of R_bs, so each per-eavesdropper
+effective gain depends on the design only through m = Re(w^H R_bs w),
+h = Re(v^H H v) and s = ||v||^2:
 
     f_k = m q_u - u1_k^2 / (m r_k + sigma^2),
     q_u = beta_c h + (beta_ab / N) s,   r_k = beta_ce,k h + (beta_ae,k / N) s,
@@ -18,7 +17,11 @@ with the cross coefficients c_k = rho_k sqrt(beta_c beta_ce,k) and
 e_k = rho_k sqrt(beta_ab beta_ae,k).  That is the sum of a quadratic and
 a negated quadratic-over-linear composition - the structure both block
 solvers exploit.  The unit-modulus constraint relaxes to per-element discs
-(vt_i^2 + vt_{N+i}^2 <= 1) and the combiner power to a Euclidean ball.
+(|v_i| <= 1) and the combiner power to a Euclidean ball.
+
+The module name, ``build_lifted`` and ``objective_terms`` are the names
+the benchmark's tracer (``perfbench/tracer.py``) wraps, which is why they
+still speak of a lift.
 """
 
 from __future__ import annotations
@@ -28,41 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def lift_hermitian(a):
-    """Real symmetric lift [[Re A, -Im A], [Im A, Re A]] of Hermitian A,
-    satisfying x^H A x = lift_vector(x)' lift_hermitian(A) lift_vector(x)."""
-    a = np.asarray(a)
-    re, im = np.real(a), np.imag(a)
-    return np.block([[re, -im], [im, re]])
-
-
-def lift_vector(x):
-    x = np.asarray(x, dtype=complex)
-    return np.concatenate([np.real(x), np.imag(x)])
-
-
-def unlift_vector(xt):
-    xt = np.asarray(xt, dtype=float)
-    n = xt.shape[0] // 2
-    return xt[:n] + 1j * xt[n:]
-
-
-def lift_combiner(w):
-    """Lifted coordinates of the combiner (conjugated before stacking so
-    that combiner quadratic forms lift with the same convention)."""
-    return lift_vector(np.conj(np.asarray(w, dtype=complex)))
-
-
-def combiner_from_lifted(wt):
-    return np.conj(unlift_vector(wt))
+def real_inner(x, y):
+    """Re(x^H y), the real inner product of C^n; a stack of rows x gives
+    one value per row."""
+    return (np.conj(x) @ y).real
 
 
 @dataclass
 class LiftedProblem:
-    """The two shared matrices of the lifted max-min problem, their top
+    """The two shared matrices of the max-min problem, their top
     eigenvalues and the per-eavesdropper coefficients of the gains.
 
-    ``had`` is H (2N, 2N) and ``r_s`` is Rs (2M, 2M).  ``legit_had`` and
+    ``had`` is H (N, N) and ``r_s`` is R_bs (M, M).  ``legit_had`` and
     ``legit_eye`` weigh h and s in q_u; the (K,) ``eve_had``/``eve_eye``
     weigh them in r_k, and ``cross_had``/``cross_direct`` are c_k and e_k.
     """
@@ -82,11 +62,11 @@ class LiftedProblem:
 
     @property
     def n_ris(self):
-        return self.had.shape[0] // 2
+        return self.had.shape[0]
 
     @property
     def n_bs(self):
-        return self.r_s.shape[0] // 2
+        return self.r_s.shape[0]
 
     @property
     def n_eve(self):
@@ -94,19 +74,19 @@ class LiftedProblem:
 
 
 def build_lifted(corr):
-    """Assemble the lifted problem from a correlation set.
+    """Assemble the problem from a correlation set.
 
     The direct-path variances are spread over the surface elements
     (beta/N on the identity) so they enter the same quadratic forms; on
-    the unit-modulus set this is exact.  A Hermitian matrix and its lift
-    share their eigenvalues, so the top ones come from the complex forms.
+    the unit-modulus set this is exact.  The matrices are the correlation
+    set's own, and lam_max(R_bs) comes from its decomposition.
     """
     n = corr.n_ris
     return LiftedProblem(
-        had=lift_hermitian(corr.ris_had),
-        r_s=lift_hermitian(corr.bs_corr),
+        had=corr.ris_had,
+        r_s=corr.bs_corr,
         lam_had=float(np.linalg.eigvalsh(corr.ris_had)[-1]),
-        lam_r_s=float(np.linalg.eigvalsh(corr.bs_corr)[-1]),
+        lam_r_s=float(corr.bs_eigh[0][-1]),
         legit_had=corr.beta_cascade,
         legit_eye=corr.beta_ab / n,
         eve_had=corr.beta_cascade_eve,
@@ -123,7 +103,7 @@ def build_lifted(corr):
 class ObjectiveTerms:
     """Intermediate scalars of the per-eavesdropper gains at one point."""
 
-    m: float           # combiner quadratic form wt'Rs wt
+    m: float           # combiner quadratic form Re(w^H R_bs w)
     q_u: float         # legitimate form beta_c h + (beta_ab / N) s
     u1: np.ndarray     # (K,) cross gains m (q_v + e_k)
     d: np.ndarray      # (K,) denominators m * r_v + sigma^2
@@ -132,12 +112,10 @@ class ObjectiveTerms:
     f: np.ndarray      # (K,) effective gains
 
 
-def objective_terms(prob, vt, wt):
-    vt = np.asarray(vt, dtype=float)
-    wt = np.asarray(wt, dtype=float)
-    m = float(wt @ prob.r_s @ wt)
-    h = float(vt @ prob.had @ vt)
-    s = float(vt @ vt)
+def objective_terms(prob, v, w):
+    m = float(real_inner(w, prob.r_s @ w))
+    h = float(real_inner(v, prob.had @ v))
+    s = float(real_inner(v, v))
     q_u = prob.legit_had * h + prob.legit_eye * s
     r_v = prob.eve_had * h + prob.eve_eye * s
     q_v = prob.cross_had * h
@@ -147,55 +125,46 @@ def objective_terms(prob, vt, wt):
     return ObjectiveTerms(m, q_u, u1, d, r_v, q_v, f)
 
 
-def objective(prob, vt, wt):
-    """Per-eavesdropper effective gains f_k(vt, wt), shape (K,)."""
-    return objective_terms(prob, vt, wt).f
+def objective(prob, v, w):
+    """Per-eavesdropper effective gains f_k(v, w), shape (K,)."""
+    return objective_terms(prob, v, w).f
 
 
-def min_objective(prob, vt, wt):
-    return float(np.min(objective_terms(prob, vt, wt).f))
+def min_objective(prob, v, w):
+    return float(np.min(objective_terms(prob, v, w).f))
 
 
-def grad_v(prob, vt, wt, terms=None):
-    """Gradients of every f_k in the surface block, shape (K, 2N): each a
-    combination of H vt and vt."""
-    t = objective_terms(prob, vt, wt) if terms is None else terms
-    vt = np.asarray(vt, dtype=float)
+def grad_v(prob, v, w, terms=None):
+    """Gradients of every f_k in the surface block, shape (K, N): each a
+    combination of H v and v."""
+    t = objective_terms(prob, v, w) if terms is None else terms
     lead = t.u1 / t.d
     on_had = 2.0 * t.m * (prob.legit_had - 2.0 * lead * prob.cross_had
                           + lead ** 2 * prob.eve_had)
     on_eye = 2.0 * t.m * (prob.legit_eye + lead ** 2 * prob.eve_eye)
-    return on_had[:, None] * (prob.had @ vt) + on_eye[:, None] * vt
+    return on_had[:, None] * (prob.had @ v) + on_eye[:, None] * v
 
 
-def grad_w(prob, vt, wt, terms=None):
-    """Gradients of every f_k in the combiner block, shape (K, 2M): each a
-    multiple of Rs wt, the gradient of m."""
-    t = objective_terms(prob, vt, wt) if terms is None else terms
-    wt = np.asarray(wt, dtype=float)
+def grad_w(prob, v, w, terms=None):
+    """Gradients of every f_k in the combiner block, shape (K, M): each a
+    multiple of R_bs w, the gradient of m."""
+    t = objective_terms(prob, v, w) if terms is None else terms
     lead = t.u1 / t.d
     df_dm = (t.q_u - 2.0 * lead * (t.q_v + prob.cross_direct)
              + lead ** 2 * t.r_v)
-    return (2.0 * df_dm)[:, None] * (prob.r_s @ wt)
+    return (2.0 * df_dm)[:, None] * (prob.r_s @ w)
 
 
-def project_discs(vt):
-    """Project each (Re, Im) pair of the lifted surface vector onto the
-    closed unit disc."""
-    vt = np.asarray(vt, dtype=float).copy()
-    n = vt.shape[0] // 2
-    mag = np.hypot(vt[:n], vt[n:])
-    scale = np.divide(1.0, mag, out=np.ones_like(mag), where=mag > 1.0)
-    vt[:n] *= scale
-    vt[n:] *= scale
-    return vt
+def project_discs(v):
+    """Project each element of the surface vector onto the closed unit
+    disc."""
+    return v / np.maximum(np.abs(v), 1.0)
 
 
-def project_ball(wt, power):
-    """Project the lifted combiner onto the ball ||wt||^2 <= power."""
-    wt = np.asarray(wt, dtype=float)
-    nrm = np.linalg.norm(wt)
+def project_ball(w, power):
+    """Project the combiner onto the ball ||w||^2 <= power."""
+    nrm = np.linalg.norm(w)
     r = np.sqrt(power)
     if nrm <= r:
-        return wt.copy()
-    return wt * (r / nrm)
+        return w.copy()
+    return w * (r / nrm)

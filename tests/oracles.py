@@ -3,8 +3,10 @@
 Everything here is deliberately independent of the library's algorithmic
 paths: brute-force grids with certified two-sided brackets, directly
 indexed determinant formulas, full channel draws, closed forms of the
-correlation-only design, finite differences, and hand-rolled random
-scenario builders, so each test compares two separately derived answers.
+correlation-only design, finite differences, dense matrices in the stacked
+[Re; Im] real layout (the package works on complex vectors), and
+hand-rolled random scenario builders, so each test compares two
+separately derived answers.
 Nothing in the package calls this module.
 """
 
@@ -18,6 +20,42 @@ from ris_skg import channel_model as cm
 from ris_skg import kgr_core as kc
 from ris_skg import mirror_prox as mp
 from ris_skg import problem_lift as pl
+
+# ---------------------------------------------------------------------------
+# the real lift: C^n as R^2n, stacked [Re; Im]
+
+
+def lift_hermitian(a):
+    """Real symmetric lift [[Re A, -Im A], [Im A, Re A]] of Hermitian A,
+    satisfying x^H A x = lift_vector(x)' lift_hermitian(A) lift_vector(x)."""
+    a = np.asarray(a)
+    re, im = np.real(a), np.imag(a)
+    return np.block([[re, -im], [im, re]])
+
+
+def lift_vector(x):
+    """Stacked [Re x; Im x] along the last axis, so each row of a stack is
+    lifted on its own."""
+    x = np.asarray(x, dtype=complex)
+    return np.concatenate([np.real(x), np.imag(x)], axis=-1)
+
+
+def complex_normal(rng, *shape):
+    """Complex array whose [Re; Im] lift along the last axis is a
+    standard-normal draw of twice that length."""
+    *lead, n = shape
+    x = rng.standard_normal((*lead, 2 * n))
+    return x[..., :n] + 1j * x[..., n:]
+
+
+def random_point(rng, sp, scale=1.0):
+    """A point in the space of ``sp`` (before projection): a complex
+    normal draw for the discs, a real one for the ball problems of
+    ``random_saddle``, whose coefficients are real."""
+    if sp.domain == "discs":
+        return scale * complex_normal(rng, sp.dim)
+    return scale * rng.standard_normal(sp.dim)
+
 
 # ---------------------------------------------------------------------------
 # saddle-point bracket
@@ -89,20 +127,18 @@ def weighted_inner_min(sp, y):
     if t > 0:
         x_star = mp.project_domain(sp, -lin / (2.0 * t))
     elif sp.domain == "discs":
-        n = lin.shape[0] // 2
-        mag = np.hypot(lin[:n], lin[n:])
-        safe = np.where(mag > 0, mag, 1.0)
-        x_star = np.concatenate([-lin[:n] / safe, -lin[n:] / safe])
-        x_star[np.concatenate([mag, mag]) == 0] = 0.0
+        mag = np.abs(lin)
+        x_star = np.where(mag > 0, -lin / np.where(mag > 0, mag, 1.0), 0.0)
     else:
         nrm = np.linalg.norm(lin)
         x_star = (-lin / nrm * np.sqrt(sp.power) if nrm > 0
                   else np.zeros_like(lin))
-    val = t * (x_star @ x_star) + lin @ x_star + float(sp.const @ y)
+    val = (t * np.vdot(x_star, x_star).real + np.vdot(lin, x_star).real
+           + float(sp.const @ y))
     return float(val), x_star
 
 
-def grid_search_phases(prob, wt, n_grid=32):
+def grid_search_phases(prob, w, n_grid=32):
     """Exhaustive unit-modulus phase search for very small surfaces.
 
     The objective is invariant to a common phase, so the first element is
@@ -113,45 +149,45 @@ def grid_search_phases(prob, wt, n_grid=32):
     if n > 3:
         raise ValueError("phase grid search is only supported for N <= 3")
     grid = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    best_val, best_vt = -np.inf, None
+    best_val, best_v = -np.inf, None
     for row in itertools.product(grid, repeat=n - 1):
-        vt = pl.lift_vector(np.exp(1j * np.array([0.0, *row])))
-        val = pl.min_objective(prob, vt, wt)
+        v = np.exp(1j * np.array([0.0, *row]))
+        val = pl.min_objective(prob, v, w)
         if val > best_val:
-            best_val, best_vt = val, vt
-    return best_vt, best_val
+            best_val, best_v = val, v
+    return best_v, best_val
 
 
-def projected_subgradient(prob, vt0, wt0, step_scale=0.5, iters=500):
+def projected_subgradient(prob, v0, w0, step_scale=0.5, iters=500):
     """Joint normalized subgradient ascent on the worst-case gain.
 
     Follows the gradient of the currently-worst eavesdropper (smallest
     index on ties) with a step_scale/sqrt(t) step, projecting both blocks
     after each move; returns the best visited point since the iteration is
-    not monotone.  An independent check for any solver of the lifted
+    not monotone.  An independent check for any solver of the design
     problem.
     """
-    vt = pl.project_discs(np.asarray(vt0, dtype=float))
-    wt = pl.project_ball(np.asarray(wt0, dtype=float), prob.power_alice)
-    best = (vt.copy(), wt.copy())
-    best_val = pl.min_objective(prob, vt, wt)
+    v = pl.project_discs(np.asarray(v0, dtype=complex))
+    w = pl.project_ball(np.asarray(w0, dtype=complex), prob.power_alice)
+    best = (v.copy(), w.copy())
+    best_val = pl.min_objective(prob, v, w)
     trace = [best_val]
     for t in range(1, iters + 1):
-        terms = pl.objective_terms(prob, vt, wt)
+        terms = pl.objective_terms(prob, v, w)
         k = int(np.argmin(terms.f))
-        g_v = pl.grad_v(prob, vt, wt, terms=terms)[k]
-        g_w = pl.grad_w(prob, vt, wt, terms=terms)[k]
-        norm = np.sqrt(g_v @ g_v + g_w @ g_w)
+        g_v = pl.grad_v(prob, v, w, terms=terms)[k]
+        g_w = pl.grad_w(prob, v, w, terms=terms)[k]
+        norm = np.linalg.norm(np.concatenate([g_v, g_w]))
         if norm == 0:
             break
         step = step_scale / np.sqrt(t) / norm
-        vt = pl.project_discs(vt + step * g_v)
-        wt = pl.project_ball(wt + step * g_w, prob.power_alice)
-        val = pl.min_objective(prob, vt, wt)
+        v = pl.project_discs(v + step * g_v)
+        w = pl.project_ball(w + step * g_w, prob.power_alice)
+        val = pl.min_objective(prob, v, w)
         trace.append(val)
         if val > best_val:
             best_val = val
-            best = (vt.copy(), wt.copy())
+            best = (v.copy(), w.copy())
     return best[0], best[1], best_val, np.asarray(trace)
 
 
@@ -226,7 +262,13 @@ def naive_kgr_bits(blocks):
 
 
 def fd_grad(fun, x, eps=1e-6):
-    """Central finite-difference gradient of a scalar function."""
+    """Central finite-difference gradient of a scalar function.  For a
+    complex x it is the gradient under Re(x^H y): the real and imaginary
+    parts are stepped one at a time and their slopes recombined."""
+    if np.iscomplexobj(x):
+        n = np.shape(x)[0]
+        g = fd_grad(lambda z: fun(z[:n] + 1j * z[n:]), lift_vector(x), eps)
+        return g[:n] + 1j * g[n:]
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
     for i in range(x.size):
@@ -365,21 +407,22 @@ def _top_eigs(mats):
     return vals[..., -1], np.max(vals ** 2, axis=-1)
 
 
-def dense_reference(corr, vt, wt):
-    """Gains, block gradients and curvature bounds at (vt, wt) from dense
-    per-eavesdropper matrices, each lifted on its own, with spectra from
-    eigvalsh.
+def dense_reference(corr, v, w):
+    """Gains, block gradients and curvature bounds at the complex design
+    (v, w) from dense per-eavesdropper matrices, each lifted on its own to
+    the stacked [Re; Im] layout, with spectra from eigvalsh.
 
     The cross matrices rho_k (R_ris o R_ris) and rho_k R_bs are Hermitian,
     so the skew parts of a general cross model vanish and are left out.
-    Returns a dict with ``f`` (K,), ``grad_v`` (K, 2N), ``grad_w`` (K, 2M),
-    ``curvature_v`` and ``curvature_w`` (K,).
+    Returns a dict with ``f`` (K,), the stacked gradients ``grad_v``
+    (K, 2N) and ``grad_w`` (K, 2M), ``curvature_v`` and ``curvature_w``
+    (K,).
     """
-    vt = np.asarray(vt, dtype=float)
-    wt = np.asarray(wt, dtype=float)
+    vt = lift_vector(v)
+    wt = lift_vector(w)
     n, k = corr.n_ris, corr.n_eve
     eye = np.eye(n)
-    lift = pl.lift_hermitian
+    lift = lift_hermitian
     r_u = lift(corr.beta_cascade * corr.ris_had + (corr.beta_ab / n) * eye)
     r_e = np.stack([lift(corr.beta_cascade_eve[i] * corr.ris_had
                          + (corr.beta_ae[i] / n) * eye) for i in range(k)])
@@ -449,7 +492,7 @@ def _surface_terms(prob, h, s):
 
 def gains_from_forms(prob, m, h, s):
     """Per-eavesdropper gains f_k, shape (K,), as functions of the three
-    forms m = wt'Rs wt, h = vt'H vt and s = vt'vt alone:
+    forms m = Re(w^H R_bs w), h = Re(v^H H v) and s = ||v||^2 alone:
     f_k = m q_u - (m u_k)^2 / (m r_k + sigma^2)."""
     q_u, r_k, u_k = _surface_terms(prob, h, s)
     return m * q_u - (m * u_k) ** 2 / (m * r_k + prob.noise_power)
@@ -472,15 +515,14 @@ def form_partials(prob, m, h, s):
 
 
 def random_feasible_point(rng, prob, unit_modulus=False, full_power=False):
-    """Lifted (vt, wt) with phases uniform, magnitudes uniform in [0, 1]
-    (or 1), and an isotropic combiner of radius up to (or at) full power."""
+    """(v, w) with phases uniform, magnitudes uniform in [0, 1] (or 1), and
+    an isotropic combiner of radius up to (or at) full power."""
     n, mb = prob.n_ris, prob.n_bs
     mag = 1.0 if unit_modulus else rng.uniform(size=n)
     v = mag * np.exp(2j * np.pi * rng.uniform(size=n))
-    w = rng.standard_normal(2 * mb)
+    w = complex_normal(rng, mb)
     radius = 1.0 if full_power else rng.uniform()
-    wt = w / np.linalg.norm(w) * np.sqrt(prob.power_alice) * radius
-    return pl.lift_vector(v), wt
+    return v, w / np.linalg.norm(w) * np.sqrt(prob.power_alice) * radius
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +580,21 @@ def random_reflect(rng, corr, unit_modulus=False):
 
 
 def random_saddle(rng, max_funcs=4, max_pairs=3):
-    """Random small saddle problem on either domain."""
+    """Random small saddle problem: up to ``max_pairs`` complex discs, or a
+    ball of up to 2 ``max_pairs`` real dimensions (real coefficients, so its
+    saddle point is real)."""
     k = int(rng.integers(1, max_funcs + 1))
     if rng.uniform() < 0.5:
-        domain, dim, power = "discs", 2 * int(rng.integers(1, max_pairs + 1)), 1.0
+        domain, dim, power = "discs", int(rng.integers(1, max_pairs + 1)), 1.0
     else:
         domain, dim, power = "ball", int(rng.integers(1, 2 * max_pairs + 1)), \
             float(rng.uniform(0.5, 4.0))
+    quad = rng.uniform(0.0, 3.0, k)
+    lin = (complex_normal(rng, k, dim) if domain == "discs"
+           else rng.standard_normal((k, dim)))
     return mp.SaddleProblem(
-        quad=rng.uniform(0.0, 3.0, k),
-        lin=rng.standard_normal((k, dim)),
+        quad=quad,
+        lin=lin,
         const=rng.uniform(-1.0, 1.0, k),
         domain=domain,
         power=power,

@@ -37,10 +37,10 @@ def tracked_runs():
         rng = np.random.default_rng([97, i])
         corr = oracles.random_corr(rng)
         prob = pl.build_lifted(corr)
-        vt0 = pl.project_discs(rng.standard_normal(2 * corr.n_ris) * 1.5)
-        wt0 = pl.project_ball(rng.standard_normal(2 * corr.n_bs) * 1.5,
-                              prob.power_alice)
-        cold = bsum.bsum_solve(prob, vt0, wt0, tol=1e-4, max_iters=200,
+        v0 = pl.project_discs(oracles.complex_normal(rng, corr.n_ris) * 1.5)
+        w0 = pl.project_ball(oracles.complex_normal(rng, corr.n_bs) * 1.5,
+                             prob.power_alice)
+        cold = bsum.bsum_solve(prob, v0, w0, tol=1e-4, max_iters=200,
                                keep_iterates=True)
         _, _, warm = bsum.optimize_design(corr, tol=1e-4, max_iters=200)
         runs.append((prob, cold, warm))
@@ -58,7 +58,7 @@ def preset_scale_runs():
             cfg, np.random.default_rng([cfg.seed, trial]))
         prob = pl.build_lifted(corr)
         w0, v0 = bsum.statistical_design(corr)
-        res = bsum.bsum_solve(prob, pl.lift_vector(v0), pl.lift_combiner(w0),
+        res = bsum.bsum_solve(prob, v0, w0,
                               tol=cfg.bsum_tol, max_iters=cfg.bsum_max_iters,
                               keep_iterates=True)
         runs.append((prob, res))
@@ -181,7 +181,7 @@ def test_inner_solver_reaches_certified_optimum():
     worst_gap = 0.0
     for _ in range(30):
         sp = oracles.random_saddle(rng, max_funcs=3, max_pairs=3)
-        x0 = mp.project_domain(sp, rng.standard_normal(sp.dim))
+        x0 = mp.project_domain(sp, oracles.random_point(rng, sp))
         res = mp.mirror_prox_solve(sp, x0, tol=1e-12, max_iters=50000)
         lo, hi = oracles.certified_max_min(sp, [res.x])
         assert hi - lo <= 1e-5          # the bracket itself is tight
@@ -192,7 +192,7 @@ def test_inner_solver_reaches_certified_optimum():
     for _ in range(50):
         sp = oracles.random_saddle(rng, max_funcs=1)
         exact, _ = oracles.weighted_inner_min(sp, np.ones(1))
-        x0 = mp.project_domain(sp, rng.standard_normal(sp.dim))
+        x0 = mp.project_domain(sp, oracles.random_point(rng, sp))
         res = mp.mirror_prox_solve(sp, x0, tol=1e-12, max_iters=20000)
         worst_single = max(worst_single,
                            abs(res.value - (-exact)) / max(abs(exact), 1.0))
@@ -219,8 +219,8 @@ def test_step_constant_bounds_hold_empirically():
         allow = lim * (1.0 + 1e-6)
         slack = 1e-12 * max(lim, 1.0)
         for _ in range(100):
-            x1 = mp.project_domain(sp, rng.standard_normal(sp.dim) * 2)
-            x2 = mp.project_domain(sp, rng.standard_normal(sp.dim) * 2)
+            x1 = mp.project_domain(sp, oracles.random_point(rng, sp, 2))
+            x2 = mp.project_domain(sp, oracles.random_point(rng, sp, 2))
             y1 = rng.dirichlet(np.ones(sp.n_funcs))
             y2 = rng.dirichlet(np.ones(sp.n_funcs))
             gx11, gy11 = mp.operator(sp, x1, y1)
@@ -251,8 +251,8 @@ def _reconstruction_scale(sp, x0):
     """Size of the terms the surrogate evaluation adds and cancels; the
     curvature constants dwarf the objective, so tangency can only hold
     relative to this scale in double precision."""
-    return (1.0 + sp.quad * float(x0 @ x0) + np.abs(sp.lin @ x0)
-            + np.abs(sp.const))
+    return (1.0 + sp.quad * pl.real_inner(x0, x0)
+            + np.abs(pl.real_inner(sp.lin, x0)) + np.abs(sp.const))
 
 
 def test_surrogates_touch_and_minorize_along_runs(tracked_runs,
@@ -262,28 +262,28 @@ def test_surrogates_touch_and_minorize_along_runs(tracked_runs,
     trajectories = ([(prob, cold) for prob, cold, _ in tracked_runs]
                     + list(preset_scale_runs))
     for prob, res in trajectories:
-        for block, vt, wt in res.iterates:
+        for block, v, w in res.iterates:
             if block == "v":
-                sp = bsum.build_surrogate_v(prob, vt, wt)
-                x0, grads = vt, pl.grad_v(prob, vt, wt)
+                sp = bsum.build_surrogate_v(prob, v, w)
+                x0, grads = v, pl.grad_v(prob, v, w)
             else:
-                sp = bsum.build_surrogate_w(prob, vt, wt)
-                x0, grads = wt, pl.grad_w(prob, vt, wt)
-            truth = pl.objective(prob, vt, wt)
+                sp = bsum.build_surrogate_w(prob, v, w)
+                x0, grads = w, pl.grad_w(prob, v, w)
+            truth = pl.objective(prob, v, w)
             scale = _reconstruction_scale(sp, x0)
             assert np.all(np.abs(mp.minorant_values(sp, x0) - truth)
                           <= 1e-9 * scale)
             slope = -(2.0 * sp.quad[:, None] * x0[None, :] + sp.lin)
-            assert np.all(np.abs(slope - grads)
+            assert np.all(np.abs(oracles.lift_vector(slope - grads))
                           <= 1e-9 * (1.0 + sp.quad[:, None]))
             for _ in range(10):
-                z = rng.standard_normal(x0.shape[0]) * 1.5
+                z = oracles.complex_normal(rng, x0.shape[0]) * 1.5
                 if block == "v":
                     x = pl.project_discs(z)
-                    f = pl.objective(prob, x, wt)
+                    f = pl.objective(prob, x, w)
                 else:
                     x = pl.project_ball(z, prob.power_alice)
-                    f = pl.objective(prob, vt, x)
+                    f = pl.objective(prob, v, x)
                 gap = f - mp.minorant_values(sp, x)
                 assert np.all(gap >= -1e-8 * _reconstruction_scale(sp, x))
             points += 1

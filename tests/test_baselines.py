@@ -44,49 +44,46 @@ def test_projected_subgradient_improves_feasibly():
     rng = np.random.default_rng(2)
     corr = oracles.random_corr(rng)
     prob = pl.build_lifted(corr)
-    vt0 = pl.project_discs(rng.standard_normal(2 * corr.n_ris))
-    wt0 = pl.project_ball(rng.standard_normal(2 * corr.n_bs),
-                          prob.power_alice)
-    vt, wt, best, trace = oracles.projected_subgradient(prob, vt0, wt0,
+    v0 = pl.project_discs(oracles.complex_normal(rng, corr.n_ris))
+    w0 = pl.project_ball(oracles.complex_normal(rng, corr.n_bs),
+                         prob.power_alice)
+    v, w, best, trace = oracles.projected_subgradient(prob, v0, w0,
                                                       iters=200)
-    assert best == pytest.approx(pl.min_objective(prob, vt, wt))
+    assert best == pytest.approx(pl.min_objective(prob, v, w))
     assert best >= trace[0] - 1e-12
     assert best == pytest.approx(np.max(trace))
-    n = corr.n_ris
-    assert np.all(np.hypot(vt[:n], vt[n:]) <= 1 + 1e-9)
-    assert float(wt @ wt) <= prob.power_alice + 1e-9
+    assert np.all(np.abs(v) <= 1 + 1e-9)
+    assert np.vdot(w, w).real <= prob.power_alice + 1e-9
 
 
 def test_grid_search_is_exhaustive_on_tiny_surfaces():
     rng = np.random.default_rng(3)
     corr = oracles.random_corr(rng, n_ris=2, n_eve=2)
     prob = pl.build_lifted(corr)
-    wt = pl.lift_combiner(statistical_design(corr)[0])
+    w = statistical_design(corr)[0]
     n_grid = 16
-    vt_best, val_best = oracles.grid_search_phases(prob, wt, n_grid=n_grid)
+    v_best, val_best = oracles.grid_search_phases(prob, w, n_grid=n_grid)
     # re-enumerate the same grid by hand
     phases = 2.0 * np.pi * np.arange(n_grid) / n_grid
     manual = max(
-        pl.min_objective(prob, pl.lift_vector(np.exp(1j * np.array([0.0, p]))),
-                         wt)
+        pl.min_objective(prob, np.exp(1j * np.array([0.0, p])), w)
         for p in phases)
     assert val_best == pytest.approx(manual)
-    assert val_best == pytest.approx(pl.min_objective(prob, vt_best, wt))
+    assert val_best == pytest.approx(pl.min_objective(prob, v_best, w))
     with pytest.raises(ValueError):
         oracles.grid_search_phases(pl.build_lifted(
-            oracles.random_corr(rng, n_ris=4)), wt)
+            oracles.random_corr(rng, n_ris=4)), w)
 
 
 def test_grid_search_common_phase_invariance():
     rng = np.random.default_rng(4)
     corr = oracles.random_corr(rng, n_ris=3, n_eve=2)
     prob = pl.build_lifted(corr)
-    wt = pl.lift_combiner(statistical_design(corr)[0])
+    w = statistical_design(corr)[0]
     v = oracles.random_reflect(rng, corr, unit_modulus=True)
-    base = pl.min_objective(prob, pl.lift_vector(v), wt)
+    base = pl.min_objective(prob, v, w)
     for phi in (0.4, 1.3, 2.9):
-        rotated = pl.min_objective(
-            prob, pl.lift_vector(v * np.exp(1j * phi)), wt)
+        rotated = pl.min_objective(prob, v * np.exp(1j * phi), w)
         assert rotated == pytest.approx(base, rel=1e-9)
 
 
@@ -95,10 +92,9 @@ def test_solver_refines_grid_maximizer():
     corr = oracles.random_corr(rng, n_ris=2, n_eve=2)
     prob = pl.build_lifted(corr)
     w, _ = statistical_design(corr)
-    wt = pl.lift_combiner(w)
-    vt_grid, grid_val = oracles.grid_search_phases(prob, wt, n_grid=64)
+    v_grid, grid_val = oracles.grid_search_phases(prob, w, n_grid=64)
     from ris_skg.bsum import bsum_solve
-    res = bsum_solve(prob, vt_grid, wt, blocks="v", tol=1e-10, max_iters=300)
+    res = bsum_solve(prob, v_grid, w, blocks="v", tol=1e-10, max_iters=300)
     # warm-started at the exhaustive-grid winner, the monotone solver can
     # only move further up (it may also use the disc interior)
     assert res.objective >= grid_val - 1e-12

@@ -1,5 +1,9 @@
 """Alternating surrogate maximization: curvature, minorants, monotonicity."""
 
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,8 @@ from ris_skg import bsum
 from ris_skg import channel_model as cm
 from ris_skg import mirror_prox as mp
 from ris_skg import problem_lift as pl
+from ris_skg.harness import build_config
+from ris_skg.kgr_core import min_kgr_bits
 
 import oracles
 
@@ -15,9 +21,9 @@ def _normalized_problem(seed, n_bs=3, n_ris=4, n_eve=3):
     rng = np.random.default_rng(seed)
     corr = oracles.random_corr(rng, n_bs=n_bs, n_ris=n_ris, n_eve=n_eve)
     prob = pl.build_lifted(corr)
-    vt = pl.project_discs(rng.standard_normal(2 * n_ris))
-    wt = pl.project_ball(rng.standard_normal(2 * n_bs), prob.power_alice)
-    return rng, corr, prob, vt, wt
+    v = pl.project_discs(oracles.complex_normal(rng, n_ris))
+    w = pl.project_ball(oracles.complex_normal(rng, n_bs), prob.power_alice)
+    return rng, corr, prob, v, w
 
 
 # ---------------------------------------------------------------------------
@@ -26,19 +32,19 @@ def _normalized_problem(seed, n_bs=3, n_ris=4, n_eve=3):
 
 def test_curvature_constants_positive():
     for seed in range(10):
-        _, _, prob, vt, wt = _normalized_problem(seed)
-        assert np.all(bsum.curvature_v(prob, wt) >= bsum.CURVATURE_FLOOR)
-        assert np.all(bsum.curvature_w(prob, vt) >= bsum.CURVATURE_FLOOR)
+        _, _, prob, v, w = _normalized_problem(seed)
+        assert np.all(bsum.curvature_v(prob, w) >= bsum.CURVATURE_FLOOR)
+        assert np.all(bsum.curvature_w(prob, v) >= bsum.CURVATURE_FLOOR)
 
 
 def test_curvature_floor_kicks_in_without_cross_terms():
     rng = np.random.default_rng(0)
     corr = oracles.recovery_corr(rng)
     prob = pl.build_lifted(corr)
-    wt = pl.project_ball(rng.standard_normal(2 * corr.n_bs),
-                         prob.power_alice)
+    w = pl.project_ball(oracles.complex_normal(rng, corr.n_bs),
+                        prob.power_alice)
     # with an independent eavesdropper the bound collapses to the floor
-    assert np.all(bsum.curvature_v(prob, wt) == bsum.CURVATURE_FLOOR)
+    assert np.all(bsum.curvature_v(prob, w) == bsum.CURVATURE_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -49,43 +55,43 @@ def _reconstruction_scale(sp, x0):
     """Size of the terms the surrogate evaluation adds and cancels; the
     curvature constants dwarf the objective, so tangency can only be exact
     relative to this scale."""
-    return (1.0 + sp.quad * float(x0 @ x0) + np.abs(sp.lin @ x0)
-            + np.abs(sp.const))
+    return (1.0 + sp.quad * pl.real_inner(x0, x0)
+            + np.abs(pl.real_inner(sp.lin, x0)) + np.abs(sp.const))
 
 
 def test_surrogate_v_touches_and_minorizes():
     for seed in range(15):
-        rng, corr, prob, vt, wt = _normalized_problem(seed)
-        sp = bsum.build_surrogate_v(prob, vt, wt)
-        truth = pl.objective(prob, vt, wt)
-        scale = _reconstruction_scale(sp, vt)
-        assert np.all(np.abs(mp.minorant_values(sp, vt) - truth)
+        rng, corr, prob, v, w = _normalized_problem(seed)
+        sp = bsum.build_surrogate_v(prob, v, w)
+        truth = pl.objective(prob, v, w)
+        scale = _reconstruction_scale(sp, v)
+        assert np.all(np.abs(mp.minorant_values(sp, v) - truth)
                       <= 1e-9 * scale)
-        slope = -(2.0 * sp.quad[:, None] * vt[None, :] + sp.lin)
-        assert np.all(np.abs(slope - pl.grad_v(prob, vt, wt))
-                      <= 1e-9 * (1.0 + sp.quad[:, None]))
+        slope = -(2.0 * sp.quad[:, None] * v[None, :] + sp.lin)
+        miss = oracles.lift_vector(slope - pl.grad_v(prob, v, w))
+        assert np.all(np.abs(miss) <= 1e-9 * (1.0 + sp.quad[:, None]))
         for _ in range(20):
-            x = pl.project_discs(rng.standard_normal(vt.shape[0]) * 1.5)
-            gap = pl.objective(prob, x, wt) - mp.minorant_values(sp, x)
+            x = pl.project_discs(oracles.complex_normal(rng, v.shape[0]) * 1.5)
+            gap = pl.objective(prob, x, w) - mp.minorant_values(sp, x)
             assert np.all(gap >= -1e-9 * _reconstruction_scale(sp, x))
 
 
 def test_surrogate_w_touches_and_minorizes():
     for seed in range(15):
-        rng, corr, prob, vt, wt = _normalized_problem(seed)
-        sp = bsum.build_surrogate_w(prob, vt, wt)
-        truth = pl.objective(prob, vt, wt)
-        scale = _reconstruction_scale(sp, wt)
-        assert np.all(np.abs(mp.minorant_values(sp, wt) - truth)
+        rng, corr, prob, v, w = _normalized_problem(seed)
+        sp = bsum.build_surrogate_w(prob, v, w)
+        truth = pl.objective(prob, v, w)
+        scale = _reconstruction_scale(sp, w)
+        assert np.all(np.abs(mp.minorant_values(sp, w) - truth)
                       <= 1e-9 * scale)
-        slope = -(2.0 * sp.quad[:, None] * wt[None, :] + sp.lin)
-        assert np.all(np.abs(slope - pl.grad_w(prob, vt, wt))
-                      <= 1e-9 * (1.0 + sp.quad[:, None]))
+        slope = -(2.0 * sp.quad[:, None] * w[None, :] + sp.lin)
+        miss = oracles.lift_vector(slope - pl.grad_w(prob, v, w))
+        assert np.all(np.abs(miss) <= 1e-9 * (1.0 + sp.quad[:, None]))
         assert sp.domain == "ball" and sp.power == prob.power_alice
         for _ in range(20):
-            x = pl.project_ball(rng.standard_normal(wt.shape[0]) * 1.5,
+            x = pl.project_ball(oracles.complex_normal(rng, w.shape[0]) * 1.5,
                                 prob.power_alice)
-            gap = pl.objective(prob, vt, x) - mp.minorant_values(sp, x)
+            gap = pl.objective(prob, v, x) - mp.minorant_values(sp, x)
             assert np.all(gap >= -1e-9 * _reconstruction_scale(sp, x))
 
 
@@ -95,12 +101,12 @@ def test_surrogate_w_touches_and_minorizes():
 
 def test_solver_trace_is_monotone_from_any_start():
     for seed in range(12):
-        _, _, prob, vt, wt = _normalized_problem(seed)
-        res = bsum.bsum_solve(prob, vt, wt, tol=1e-4, max_iters=60)
+        _, _, prob, v, w = _normalized_problem(seed)
+        res = bsum.bsum_solve(prob, v, w, tol=1e-4, max_iters=60)
         assert np.all(np.diff(res.trace) >= -1e-8)
         assert res.objective == pytest.approx(res.trace[-1])
         assert res.objective >= res.trace[0] - 1e-12
-        assert float(res.wt @ res.wt) <= prob.power_alice + 1e-9
+        assert np.vdot(res.w, res.w).real <= prob.power_alice + 1e-9
 
 
 def test_deployed_pipeline_converges_quickly():
@@ -113,36 +119,36 @@ def test_deployed_pipeline_converges_quickly():
 
 
 def test_single_block_modes_leave_other_block_fixed():
-    _, _, prob, vt, wt = _normalized_problem(3)
-    res_v = bsum.bsum_solve(prob, vt, wt, blocks="v", tol=1e-8)
-    assert np.allclose(res_v.wt, pl.project_ball(wt, prob.power_alice))
-    res_w = bsum.bsum_solve(prob, vt, wt, blocks="w", tol=1e-8)
-    assert np.allclose(res_w.vt, pl.project_discs(vt))
+    _, _, prob, v, w = _normalized_problem(3)
+    res_v = bsum.bsum_solve(prob, v, w, blocks="v", tol=1e-8)
+    assert np.allclose(res_v.w, pl.project_ball(w, prob.power_alice))
+    res_w = bsum.bsum_solve(prob, v, w, blocks="w", tol=1e-8)
+    assert np.allclose(res_w.v, pl.project_discs(v))
     with pytest.raises(ValueError):
-        bsum.bsum_solve(prob, vt, wt, blocks="x")
+        bsum.bsum_solve(prob, v, w, blocks="x")
 
 
 def test_recorded_iterates_are_expansion_points():
-    _, _, prob, vt, wt = _normalized_problem(5)
-    res = bsum.bsum_solve(prob, vt, wt, tol=1e-6, max_iters=50,
+    _, _, prob, v, w = _normalized_problem(5)
+    res = bsum.bsum_solve(prob, v, w, tol=1e-6, max_iters=50,
                           keep_iterates=True)
     assert len(res.iterates) == 2 * res.iterations
     assert [b for b, _, _ in res.iterates[:2]] == ["v", "w"]
-    b0, vt0, wt0 = res.iterates[0]
-    assert np.allclose(vt0, pl.project_discs(vt))
+    b0, v0, w0 = res.iterates[0]
+    assert np.allclose(v0, pl.project_discs(v))
     # every recorded point stays feasible
-    for _, vti, wti in res.iterates:
-        assert np.all(np.hypot(*np.split(vti, 2)) <= 1 + 1e-9)
-        assert float(wti @ wti) <= prob.power_alice + 1e-9
+    for _, vi, wi in res.iterates:
+        assert np.all(np.abs(vi) <= 1 + 1e-9)
+        assert np.vdot(wi, wi).real <= prob.power_alice + 1e-9
 
 
 def test_result_exposes_complex_design():
-    _, corr, prob, vt, wt = _normalized_problem(6)
-    res = bsum.bsum_solve(prob, vt, wt, tol=1e-6)
+    _, corr, prob, v, w = _normalized_problem(6)
+    res = bsum.bsum_solve(prob, v, w, tol=1e-6)
     assert res.v.shape == (corr.n_ris,)
     assert res.w.shape == (corr.n_bs,)
     assert res.v.dtype.kind == "c" and res.w.dtype.kind == "c"
-    assert np.allclose(pl.lift_vector(res.v), res.vt)
+    assert pl.min_objective(prob, res.v, res.w) == res.objective
 
 
 def test_independent_eavesdropper_recovery_small():
@@ -152,8 +158,7 @@ def test_independent_eavesdropper_recovery_small():
         corr = oracles.recovery_corr(rng)
         prob = pl.build_lifted(corr)
         w_opt, v_opt = bsum.statistical_design(corr)
-        target = pl.min_objective(prob, pl.lift_vector(v_opt),
-                                  pl.lift_combiner(w_opt))
+        target = pl.min_objective(prob, v_opt, w_opt)
         w0 = oracles.random_combiner(rng, corr)
         v0 = oracles.random_reflect(rng, corr)
         _, _, res = bsum.optimize_design(
@@ -215,10 +220,11 @@ def test_form_oracle_matches_lifted_objective_and_partials():
     for corr in _random_instances(10, 41):
         prob = pl.build_lifted(corr)
         for _ in range(10):
-            vt, wt = oracles.random_feasible_point(rng, prob)
-            m, h, s = (wt @ prob.r_s @ wt, vt @ prob.had @ vt, vt @ vt)
+            v, w = oracles.random_feasible_point(rng, prob)
+            m, h, s = (np.vdot(w, prob.r_s @ w).real,
+                       np.vdot(v, prob.had @ v).real, np.vdot(v, v).real)
             assert np.allclose(oracles.gains_from_forms(prob, m, h, s),
-                               pl.objective(prob, vt, wt),
+                               pl.objective(prob, v, w),
                                rtol=1e-12, atol=0.0)
             x = np.array([m, h, s])
             partials = oracles.form_partials(prob, m, h, s)
@@ -256,21 +262,21 @@ def _assert_dominated(corr, rng, points=60):
     """No feasible point beats the statistical design on any f_k, at
     random points and at small perturbations of the design itself."""
     prob = pl.build_lifted(corr)
-    w, v = bsum.statistical_design(corr)
-    vt_star, wt_star = pl.lift_vector(v), pl.lift_combiner(w)
-    best = pl.objective(prob, vt_star, wt_star)
+    w_star, v_star = bsum.statistical_design(corr)
+    best = pl.objective(prob, v_star, w_star)
     assert np.allclose(best, oracles.gains_from_forms(
         prob, *_top_forms(corr, prob)), rtol=1e-12, atol=0.0)
     slack = 1e-12 * np.abs(best)
     for i in range(points):
-        vt, wt = oracles.random_feasible_point(
+        v, w = oracles.random_feasible_point(
             rng, prob, unit_modulus=i % 3 == 0, full_power=i % 2 == 0)
-        assert np.all(pl.objective(prob, vt, wt) <= best + slack)
+        assert np.all(pl.objective(prob, v, w) <= best + slack)
         eps = 10.0 ** -rng.uniform(1, 6)
-        vt = pl.project_discs(vt_star + eps * rng.standard_normal(vt.size))
-        wt = pl.project_ball(wt_star + eps * rng.standard_normal(wt.size),
-                             prob.power_alice)
-        assert np.all(pl.objective(prob, vt, wt) <= best + slack)
+        v = pl.project_discs(
+            v_star + eps * oracles.complex_normal(rng, v.size))
+        w = pl.project_ball(w_star + eps * oracles.complex_normal(rng, w.size),
+                            prob.power_alice)
+        assert np.all(pl.objective(prob, v, w) <= best + slack)
 
 
 def test_statistical_design_dominates_feasible_points():
@@ -292,13 +298,59 @@ def test_bsum_never_ends_above_the_certified_value():
     for corr in _random_instances(5, 49):
         prob = pl.build_lifted(corr)
         w, v = bsum.statistical_design(corr)
-        certified = pl.min_objective(prob, pl.lift_vector(v),
-                                     pl.lift_combiner(w))
+        certified = pl.min_objective(prob, v, w)
         for _ in range(2):
-            vt, wt = oracles.random_feasible_point(rng, prob)
-            res = bsum.bsum_solve(prob, vt, wt, tol=1e-6, max_iters=20,
+            v0, w0 = oracles.random_feasible_point(rng, prob)
+            res = bsum.bsum_solve(prob, v0, w0, tol=1e-6, max_iters=20,
                                   inner_max_iters=300)
             assert res.objective <= certified + 1e-12 * abs(certified)
         # started at the certified design, the solver has nowhere to go
-        res = bsum.bsum_solve(prob, pl.lift_vector(v), pl.lift_combiner(w))
+        res = bsum.bsum_solve(prob, v, w)
         assert res.objective == pytest.approx(certified, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's one BSUM run
+
+
+def _perfbench_checks(monkeypatch):
+    """``perfbench/checks.py``, loaded from its file (it imports only the
+    package) and registered for the test's duration, as its dataclasses
+    need."""
+    path = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+            / "checks.py")
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_bsum_run_keeps_the_statistical_rate(monkeypatch):
+    """``checks.optimized_rate_mean`` gives ``kgr_bits_mean`` on the
+    ``paper_probing`` workload.  At the paper preset each of its draws
+    stops after one outer iteration at the statistical design's rate."""
+    checks = _perfbench_checks(monkeypatch)
+    cfg = build_config("paper", "sweep_power_dbm = 10, 25, 40", trials=3)
+    runs = []
+
+    def recorded(corr, **solver_keys):
+        assert solver_keys == {
+            "tol": cfg.bsum_tol, "max_iters": cfg.bsum_max_iters,
+            "inner_tol": cfg.inner_tol,
+            "inner_max_iters": cfg.inner_max_iters}
+        out = bsum.optimize_design(corr, **solver_keys)
+        runs.append((corr, *out))
+        return out
+
+    monkeypatch.setattr(checks, "optimize_design", recorded)
+    mean = checks.optimized_rate_mean("bdr_vs_power", cfg)
+    assert len(runs) == 9
+    stat_rates = []
+    for corr, w, v, res in runs:
+        assert res.iterations == 1
+        stat = min_kgr_bits(corr, *bsum.statistical_design(corr))
+        assert min_kgr_bits(corr, w, v) == pytest.approx(stat, rel=1e-12,
+                                                         abs=0.0)
+        stat_rates.append(stat)
+    assert mean == pytest.approx(np.mean(stat_rates), rel=1e-12, abs=0.0)

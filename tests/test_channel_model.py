@@ -147,12 +147,6 @@ def test_config_hash_tracks_content():
     assert cm.config_hash(a) != cm.config_hash(b)
 
 
-def test_load_config_reads_file(tmp_path):
-    path = tmp_path / "case.cfg"
-    path.write_text("bs_corr = 0.4\n")
-    assert cm.load_config(str(path)).bs_corr == 0.4
-
-
 def test_unit_conversions():
     assert np.isclose(cm.dbm_to_watts(30.0), 1.0)
     assert np.isclose(cm.dbm_to_watts(0.0), 1e-3)

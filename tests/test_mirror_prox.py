@@ -20,8 +20,8 @@ def test_saddle_problem_validation():
     with pytest.raises(ValueError):
         mp.SaddleProblem(np.array([0.1]), np.zeros((1, 2)), np.zeros(1),
                          "cube")
-    sp = mp.SaddleProblem(np.array([0.5]), np.zeros((1, 6)), np.zeros(1),
-                          "discs")
+    sp = mp.SaddleProblem(np.array([0.5]), np.zeros((1, 3), complex),
+                          np.zeros(1), "discs")
     assert sp.radius == pytest.approx(np.sqrt(3.0))
     sp = mp.SaddleProblem(np.array([0.5]), np.zeros((1, 6)), np.zeros(1),
                           "ball", power=2.25)
@@ -33,9 +33,9 @@ def test_from_minorants_tangency_and_gradient():
     for _ in range(20):
         k, d = int(rng.integers(1, 5)), int(rng.integers(2, 7))
         curv = rng.uniform(0.0, 2.0, k)
-        grads = rng.standard_normal((k, d))
+        grads = oracles.complex_normal(rng, k, d)
         values = rng.standard_normal(k)
-        x0 = rng.standard_normal(d)
+        x0 = oracles.complex_normal(rng, d)
         sp = mp.from_minorants(curv, grads, values, x0, "ball", power=4.0)
         # touches the modelled values at the expansion point
         assert np.allclose(mp.minorant_values(sp, x0), values)
@@ -43,10 +43,10 @@ def test_from_minorants_tangency_and_gradient():
         slope = -(2.0 * sp.quad[:, None] * x0[None, :] + sp.lin)
         assert np.allclose(slope, grads)
         # curvature pulls the surrogate down away from the expansion point
-        x1 = x0 + rng.standard_normal(d)
-        linear_model = values + grads @ (x1 - x0)
+        x1 = x0 + oracles.complex_normal(rng, d)
+        linear_model = values + (np.conj(grads) @ (x1 - x0)).real
         drop = linear_model - mp.minorant_values(sp, x1)
-        assert np.allclose(drop, 0.5 * curv * np.sum((x1 - x0) ** 2))
+        assert np.allclose(drop, 0.5 * curv * np.sum(np.abs(x1 - x0) ** 2))
 
 
 def test_project_simplex():
@@ -61,7 +61,7 @@ def test_operator_matches_finite_differences():
     rng = np.random.default_rng(1)
     for _ in range(10):
         sp = oracles.random_saddle(rng)
-        x = rng.standard_normal(sp.dim)
+        x = oracles.random_point(rng, sp)
         y = rng.dirichlet(np.ones(sp.n_funcs))
         gx, gy = mp.operator(sp, x, y)
         fd = oracles.fd_grad(lambda z: float(y @ mp.phi_values(sp, z)), x)
@@ -77,8 +77,8 @@ def test_step_constant_bounds_operator_differences():
             continue
         lim = mp.lipschitz_bound(sp)
         for _ in range(40):
-            x1 = mp.project_domain(sp, rng.standard_normal(sp.dim) * 2)
-            x2 = mp.project_domain(sp, rng.standard_normal(sp.dim) * 2)
+            x1 = mp.project_domain(sp, oracles.random_point(rng, sp, 2))
+            x2 = mp.project_domain(sp, oracles.random_point(rng, sp, 2))
             y1 = rng.dirichlet(np.ones(sp.n_funcs))
             y2 = rng.dirichlet(np.ones(sp.n_funcs))
             gx11, gy11 = mp.operator(sp, x1, y1)
@@ -97,11 +97,12 @@ def test_bregman_distance_properties():
     rng = np.random.default_rng(3)
     for _ in range(30):
         d, k = int(rng.integers(1, 6)), int(rng.integers(2, 5))
-        x1, x2 = rng.standard_normal(d), rng.standard_normal(d)
+        x1, x2 = oracles.complex_normal(rng, d), oracles.complex_normal(rng, d)
         y1 = rng.dirichlet(np.ones(k))
         y2 = rng.dirichlet(np.ones(k))
         dist = mp.bregman(x1, y1, x2, y2)
-        expected = 0.5 * np.sum((x1 - x2) ** 2) + np.sum(rel_entr(y1, y2))
+        expected = (0.5 * np.sum(np.abs(x1 - x2) ** 2)
+                    + np.sum(rel_entr(y1, y2)))
         assert dist == pytest.approx(expected, rel=1e-9, abs=1e-12)
         assert dist >= -1e-15
     assert mp.bregman(x1, y1, x1, y1) == pytest.approx(0.0, abs=1e-12)
@@ -120,7 +121,7 @@ def test_weighted_inner_min_is_unbeatable():
         assert np.allclose(mp.project_domain(sp, x_star), x_star, atol=1e-12)
         assert val == pytest.approx(float(y @ mp.phi_values(sp, x_star)))
         for _ in range(200):
-            cand = mp.project_domain(sp, rng.standard_normal(sp.dim) * 3)
+            cand = mp.project_domain(sp, oracles.random_point(rng, sp, 3))
             assert float(y @ mp.phi_values(sp, cand)) >= val - 1e-9
 
 
@@ -142,7 +143,7 @@ def test_solver_matches_exact_answer_single_function():
     for _ in range(20):
         sp = oracles.random_saddle(rng, max_funcs=1)
         exact_val, _ = oracles.weighted_inner_min(sp, np.ones(1))
-        x0 = mp.project_domain(sp, rng.standard_normal(sp.dim))
+        x0 = mp.project_domain(sp, oracles.random_point(rng, sp))
         res = mp.mirror_prox_solve(sp, x0, tol=1e-12, max_iters=20000)
         worst = max(worst, abs(res.value - (-exact_val))
                     / max(abs(exact_val), 1.0))
@@ -153,7 +154,7 @@ def test_solver_reaches_bracketed_optimum():
     rng = np.random.default_rng(6)
     for _ in range(8):
         sp = oracles.random_saddle(rng, max_funcs=3, max_pairs=3)
-        x0 = mp.project_domain(sp, rng.standard_normal(sp.dim))
+        x0 = mp.project_domain(sp, oracles.random_point(rng, sp))
         res = mp.mirror_prox_solve(sp, x0, tol=1e-12, max_iters=50000)
         lo, hi = oracles.certified_max_min(sp, [res.x])
         assert hi - lo <= 1e-5  # the bracket itself is tight
@@ -166,7 +167,7 @@ def test_solver_never_degrades_warm_start():
     for budget in (1, 3, 10, 200):
         for _ in range(10):
             sp = oracles.random_saddle(rng)
-            x0 = mp.project_domain(sp, rng.standard_normal(sp.dim) * 2)
+            x0 = mp.project_domain(sp, oracles.random_point(rng, sp, 2))
             res = mp.mirror_prox_solve(sp, x0, tol=1e-9, max_iters=budget)
             assert res.value >= mp.min_minorant(sp, x0) - 1e-12
             assert res.iterations <= budget
@@ -175,7 +176,7 @@ def test_solver_never_degrades_warm_start():
 def test_solver_result_fields():
     rng = np.random.default_rng(8)
     sp = oracles.random_saddle(rng, max_funcs=2)
-    x0 = mp.project_domain(sp, rng.standard_normal(sp.dim))
+    x0 = mp.project_domain(sp, oracles.random_point(rng, sp))
     res = mp.mirror_prox_solve(sp, x0, tol=1e-10, max_iters=5000)
     assert res.converged
     assert np.isclose(res.y.sum(), 1.0)
