@@ -1,6 +1,6 @@
 #!/bin/sh
 # Run every experiment at desk scale (reduced trials, capped array sizes).
-# Takes 3.7-4.6 s on a 2-core box with one BLAS thread, 2.5-2.9 s of it in
+# Takes 4.3-4.5 s on a 2-core box with one BLAS thread, 2.4-2.6 s of it in
 # bdr_vs_power; artifacts land under runs/desk/<experiment>/.
 set -e
 

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Full-averaging reproduction: 1000 trials per sweep point at the largest
 # array sizes.  On a 2-core box with one BLAS thread, bdr_vs_power took
-# 78-92 s (130-136 s with one probe at a time; it probes on one thread per
-# CPU in the affinity mask) and each key-rate experiment 3-6 s, so
-# 1.5-2 min in all.  Run the desk suite first to check the setup.
+# 49-53 s (it probes on one thread per CPU in the affinity mask) and each
+# key-rate experiment 1.4-2.5 s, so about 1 min in all.  Run the desk
+# suite first to check the setup.
 # Artifacts land under runs/paper/<experiment>/.
 set -e
 

@@ -528,9 +528,11 @@ def build_correlations(config, rng):
 def _cn(rng, *shape):
     """I.i.d. unit-variance circular complex Gaussians, drawn entry by entry
     in row-major order, so splitting the leading axis over several calls
-    yields the same values."""
-    return (rng.standard_normal((*shape, 2)).view(complex)[..., 0]
-            / np.sqrt(2.0))
+    yields the same values.  The real draws are scaled in place and viewed
+    as complex, with no complex temporary."""
+    x = rng.standard_normal((*shape, 2))
+    x *= 1.0 / np.sqrt(2.0)
+    return x.view(complex)[..., 0]
 
 
 def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
@@ -541,6 +543,7 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
     Alice's combined uplink estimate, Bob's downlink estimate, and Eve's
     downlink estimates.  With ``eve=False`` Eve is not drawn and the third
     value is None; Alice's and Bob's sequences are the same either way.
+    ``w`` must be nonzero (ValueError otherwise).
 
     Each round draws only the sufficient statistics of its observations;
     the joint law is that of full channel draws (``sample_channels`` in
@@ -559,33 +562,56 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
     * ||u||^2 = beta_ar ||R_bs^1/2T w||^2 sum_i lambda_i E_i with lambda
       the eigenvalues of L^H L (computed once per call) and E_i ~ Exp(1):
       N real draws per round instead of an M x N complex matrix.
-    * Direct path h_ab^T w = sqrt(beta_ab) ||R_bs^1/2 w|| d, d ~ CN(0, 1);
-      Eve's is sqrt(beta_ae,k) ||R_bs^1/2 w|| (rho_k d + sqrt(1 - rho_k^2)
-      d_k).  Alice's combined uplink noise is sigma ||w|| times one
-      CN(0, 1) scalar, Bob's one more.
-    * Eve.  Given ||u||, antenna k's fresh terms s_k, d_k and its noise
-      sum to one CN scalar of variance (1 - rho_k^2) (beta_re,k ||u||^2
-      + beta_ae,k ||R_bs^1/2 w||^2) + sigma^2: one draw per antenna and
-      round.
+    * Direct path h_ab^T w = sqrt(beta_ab) D d with D = ||R_bs^1/2 w|| and
+      d ~ CN(0, 1); Eve's is sqrt(beta_ae,k) D (rho_k d + sqrt(1 - rho_k^2)
+      d_k).
+    * Alice and Bob.  Both see the shared scalar S = x^T y, y = (s_b, d),
+      x = (sqrt(beta_rb) ||u||, sqrt(beta_ab) D), of variance
+      g = beta_rb ||u||^2 + beta_ab D^2 given ||u||.  Bob sees
+      b = S + sigma n_b and Alice a = sqrt(P_b) S + sigma ||w|| n_a, a
+      bivariate CN pair that two CN(0, 1) scalars z_1, z_2 carry exactly:
+      b = sqrt(g + sigma^2) z_1 and a = sqrt(P_b) g / sqrt(g + sigma^2) z_1
+      + sqrt(sigma^2 ||w||^2 + P_b g sigma^2 / (g + sigma^2)) z_2.
+    * Eve.  Given (a, b), y is CN with mean kappa x and covariance
+      I - c x x^T, where den = sigma^2 ||w||^2 + g (||w||^2 + P_b),
+      kappa = (||w||^2 b + sqrt(P_b) a) / den and c = (||w||^2 + P_b) / den.
+      (S given (a, b) is CN(g kappa, g sigma^2 ||w||^2 / den); the part of
+      y orthogonal to x is independent of both.)  So
+      y = kappa x + (I - t x x^T) z with z two fresh CN(0, 1) scalars and
+      t = c / (1 + sigma ||w|| / sqrt(den)), the symmetric root; nothing
+      divides by g, which is 0 when Bob's links carry nothing.  Antenna k
+      then sees rho_k (sqrt(beta_re,k) ||u|| s_b + sqrt(beta_ae,k) D d)
+      plus its fresh terms s_k, d_k and noise, which sum to one CN scalar
+      of variance (1 - rho_k^2) (beta_re,k ||u||^2 + beta_ae,k D^2)
+      + sigma^2: 2 + K draws per round.
 
     The exponentials, the legitimate scalars and Eve's scalars come from
     three streams spawned from ``rng``, each drawn round by round, so the
     output does not depend on ``chunk`` (which bounds memory at
     chunk x N reals) nor on ``eve``.  With the surface off (v = 0) every
-    lambda_i is zero, so ||u||^2 = 0 and the exponentials are not drawn;
-    the other two streams, and hence every output, are unchanged.
+    lambda_i is zero, so ||u||^2 = 0, g is one number and the exponentials
+    are not drawn; the other two streams are unchanged.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    sig = np.sqrt(corr.noise_power)
+    w_sq = np.vdot(w, w).real
+    if not w_sq:
+        raise ValueError("w must be nonzero")
+    sig2, pb = corr.noise_power, corr.power_bob
     root_bs, root_ris = corr.bs_corr_sqrt, corr.ris_corr_sqrt
     link = (root_ris * v) @ root_ris.T
     lam = (corr.beta_ar * np.linalg.norm(root_bs.T @ w) ** 2
            * np.linalg.svd(link, compute_uv=False) ** 2)
     direct = np.linalg.norm(root_bs @ w)
-    uplink_sig = sig * np.linalg.norm(w)
+    x_d = np.sqrt(corr.beta_ab) * direct
+    # Eve's weights on ||u|| s_b and D d, and her fresh variance as
+    # fresh_u ||u||^2 + fresh_0
     rho = corr.rho_eve
+    eve_cascade = rho * np.sqrt(corr.beta_re)
+    eve_direct = rho * np.sqrt(corr.beta_ae)
     mix_sq = np.clip(1.0 - rho ** 2, 0.0, None)
+    fresh_u = mix_sq * corr.beta_re
+    fresh_0 = mix_sq * corr.beta_ae * direct ** 2 + sig2
     cascade_on = lam.any()
     exp_rng, leg_rng, eve_rng = rng.spawn(3)
 
@@ -596,19 +622,30 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
         sl = slice(start, min(start + chunk, rounds))
         b = sl.stop - start
         u_sq = (exp_rng.standard_exponential((b, lam.size)) @ lam
-                if cascade_on else np.zeros(b))
-        s_b, d, n_a, n_b = _cn(leg_rng, b, 4).T
-        cascade = np.sqrt(u_sq) * s_b
-        shared = (np.sqrt(corr.beta_rb) * cascade
-                  + np.sqrt(corr.beta_ab) * direct * d)
-        out_a[sl] = np.sqrt(corr.power_bob) * shared + uplink_sig * n_a
-        out_b[sl] = shared + sig * n_b
+                if cascade_on else 0.0)
+        g = corr.beta_rb * u_sq + x_d * x_d
+        tot = g + sig2
+        root_tot = np.sqrt(tot)
+        z_1, z_2 = _cn(leg_rng, b, 2).T
+        bob = out_b[sl] = root_tot * z_1
+        alice = out_a[sl] = (np.sqrt(pb) * g / root_tot * z_1
+                             + np.sqrt(sig2 * w_sq + pb * g * sig2 / tot)
+                             * z_2)
         if eve:
-            fresh_sq = (mix_sq * (corr.beta_re * u_sq[:, None]
-                                  + corr.beta_ae * direct ** 2)
-                        + corr.noise_power)
-            out_e[sl] = (
-                rho * (np.sqrt(corr.beta_re) * cascade[:, None]
-                       + np.sqrt(corr.beta_ae) * direct * d[:, None])
-                + np.sqrt(fresh_sq) * _cn(eve_rng, b, corr.n_eve))
+            norm_u = np.sqrt(u_sq)
+            x_b = np.sqrt(corr.beta_rb) * norm_u
+            z = _cn(eve_rng, b, 2 + corr.n_eve)
+            den = sig2 * w_sq + g * (w_sq + pb)
+            shrink = (w_sq + pb) / (1.0 + np.sqrt(sig2 * w_sq / den))
+            # kappa - t x^T z, the shift of y's two fresh scalars along x
+            shift = (w_sq * bob + np.sqrt(pb) * alice
+                     - shrink * (x_b * z[:, 0] + x_d * z[:, 1])) / den
+            cascade = norm_u * (z[:, 0] + x_b * shift)     # ||u|| s_b
+            direct_d = direct * (z[:, 1] + x_d * shift)    # D d
+            # built in place in the output rows: no (b, K) temporary sums
+            e = out_e[sl]
+            np.multiply(np.sqrt(np.reshape(u_sq, (-1, 1)) * fresh_u
+                                + fresh_0), z[:, 2:], out=e)
+            e += cascade[:, None] * eve_cascade
+            e += direct_d[:, None] * eve_direct
     return out_a, out_b, out_e

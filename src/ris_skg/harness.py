@@ -87,7 +87,13 @@ def quantize_median_bits(values):
     [0,0,1,1]); a constant input produces all zeros and a warning.
     """
     values = np.asarray(values, dtype=float)
-    bits = (values > np.median(values)).astype(np.int8)
+    # np.median's value (the middle element, or the mean of the middle
+    # two) from one sort, without its general-axis machinery
+    ordered = np.sort(values, axis=None)
+    mid = values.size // 2
+    median = (ordered[mid] if values.size % 2
+              else np.mean(ordered[mid - 1:mid + 1]))
+    bits = (values > median).astype(np.int8)
     if values.size > 1 and values.max() == values.min():
         warnings.warn("median quantizer saw a constant sequence; "
                       "emitting all-zero bits", stacklevel=2)

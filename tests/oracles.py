@@ -209,6 +209,22 @@ def covariance_blocks(corr, w, v):
         ae=np.sqrt(pb) * g.cross, noise_power=sig2, combiner_sq=wsq)
 
 
+def eve_covariance(corr, w, v):
+    """K x K covariance E{e_j conj(e_k)} of Eve's observations.  Off the
+    diagonal the antennas share only what each shares with Bob:
+    rho_j rho_k m_w (beta_ar q_v sqrt(beta_re,j beta_re,k)
+    + sqrt(beta_ae,j beta_ae,k)); on it each antenna's own variance,
+    ``covariance_blocks(...).ee``."""
+    m_w, q_v, _ = kc.design_gains(corr, w, v)
+    cov = (np.outer(corr.rho_eve, corr.rho_eve) * m_w
+           * (corr.beta_ar * q_v * np.sqrt(np.outer(corr.beta_re,
+                                                     corr.beta_re))
+              + np.sqrt(np.outer(corr.beta_ae, corr.beta_ae))))
+    np.fill_diagonal(cov, kc.effective_gains(corr, w, v).eve
+                     + corr.noise_power)
+    return cov
+
+
 def empirical_covariance_blocks(alice, bob, eve, noise_power, combiner_sq):
     """Sample covariance entries from simulated probing sequences.
 

@@ -511,8 +511,9 @@ def test_simulate_probing_without_eve_keeps_alice_and_bob():
 
 def test_simulate_probing_with_the_surface_off_is_the_direct_link_alone():
     # v = 0 zeroes the cascade, so its exponential stream (the first
-    # spawned one) is not drawn; the legitimate scalars still come from
-    # the second, and every output is the direct-only closed form
+    # spawned one) is not drawn; the legitimate pair still comes from the
+    # second, two scalars per round, and both outputs are the direct-only
+    # closed form with the shared variance g = beta_ab D^2
     rng = np.random.default_rng(35)
     corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
     w = oracles.random_combiner(rng, corr)
@@ -521,13 +522,40 @@ def test_simulate_probing_with_the_surface_off_is_the_direct_link_alone():
     alice, bob, _ = cm.simulate_probing(corr, w, v, np.random.default_rng(7),
                                         rounds, chunk=64)
     _, leg_rng, _ = np.random.default_rng(7).spawn(3)
-    _, d, n_a, n_b = cm._cn(leg_rng, rounds, 4).T
-    sig = np.sqrt(corr.noise_power)
-    shared = (np.sqrt(corr.beta_ab) * np.linalg.norm(corr.bs_corr_sqrt @ w)
-              * d)
-    assert np.array_equal(alice, np.sqrt(corr.power_bob) * shared
-                          + sig * np.linalg.norm(w) * n_a)
-    assert np.array_equal(bob, shared + sig * n_b)
+    z_1, z_2 = cm._cn(leg_rng, rounds, 2).T
+    sig2, pb = corr.noise_power, corr.power_bob
+    x_d = np.sqrt(corr.beta_ab) * np.linalg.norm(corr.bs_corr_sqrt @ w)
+    g = x_d * x_d
+    root_tot = np.sqrt(g + sig2)
+    assert np.array_equal(bob, root_tot * z_1)
+    assert np.array_equal(
+        alice, (np.sqrt(pb) * g / root_tot * z_1
+                + np.sqrt(sig2 * np.vdot(w, w).real + pb * g * sig2
+                          / (g + sig2)) * z_2))
+
+
+def test_simulate_probing_rejects_a_zero_combiner():
+    corr = oracles.random_corr(np.random.default_rng(36), n_eve=2)
+    v = np.ones(corr.n_ris, dtype=complex)
+    with pytest.raises(ValueError, match="w must be nonzero"):
+        cm.simulate_probing(corr, np.zeros(corr.n_bs), v,
+                            np.random.default_rng(0), 10)
+
+
+def test_simulate_probing_matches_eve_cross_antenna_covariance():
+    """Eve's antennas are coupled only through the parts of their channels
+    correlated with Bob's; the per-antenna gate above sees the diagonal."""
+    rng = np.random.default_rng(22)
+    corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=3,
+                               rho_eve_max=0.99)
+    w = oracles.random_combiner(rng, corr)
+    v = oracles.random_reflect(rng, corr)
+    _, _, eve = cm.simulate_probing(corr, w, v, np.random.default_rng(98),
+                                    rounds=200_000)
+    emp = eve.T @ eve.conj() / eve.shape[0]
+    ana = oracles.eve_covariance(corr, w, v)
+    assert np.all(ana[~np.eye(corr.n_eve, dtype=bool)] > 0)
+    assert np.allclose(emp, ana, rtol=0.03, atol=0.03 * np.diag(ana).min())
 
 
 def _probing_from_channel_draws(corr, w, v, rng, rounds):
@@ -565,9 +593,16 @@ def test_simulate_probing_matches_channel_draws_in_law():
     ref = _probing_from_channel_draws(corr, w, v, np.random.default_rng(42),
                                       rounds)
     got = cm.simulate_probing(corr, w, v, np.random.default_rng(43), rounds)
-    for want, have in ((ref[0], got[0]), (ref[1], got[1]),
-                       (ref[2][:, 0], got[2][:, 0])):
-        assert ks_2samp(np.abs(want), np.abs(have)).pvalue > 1e-3
+
+    def laws(alice, bob, eve):
+        """Marginal magnitudes, then the joint laws the marginals miss:
+        products of magnitudes and Bob's phase against Eve's."""
+        return (np.abs(alice), np.abs(bob), np.abs(eve[:, 0]),
+                np.abs(alice) * np.abs(bob), np.abs(bob) * np.abs(eve[:, 0]),
+                np.angle(bob * np.conj(eve[:, 0])))
+
+    for want, have in zip(laws(*ref), laws(*got)):
+        assert ks_2samp(want, have).pvalue > 1e-3
 
     def bdr(alice, bob):
         return bit_disagreement(quantize_median_bits(np.abs(alice)),

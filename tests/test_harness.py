@@ -56,6 +56,15 @@ def test_quantizer_median_split():
     assert bits.sum() == 2  # two values above the median
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 10, 11, 1000, 1001])
+def test_quantizer_threshold_is_numpy_median(size):
+    rng = np.random.default_rng(size)
+    for values in (rng.standard_normal(size) ** 2,
+                   rng.integers(0, 3, size).astype(float)):    # ties
+        assert np.array_equal(hn.quantize_median_bits(values),
+                              (values > np.median(values)).astype(np.int8))
+
+
 def test_quantizer_warns_on_constant_input():
     with pytest.warns(UserWarning):
         bits = hn.quantize_median_bits([2.0, 2.0, 2.0])
