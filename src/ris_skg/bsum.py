@@ -74,27 +74,16 @@ def curvature_w(prob, v):
     return np.maximum(bound, CURVATURE_FLOOR)
 
 
-def build_surrogate_v(prob, v, w):
+def build_surrogate(prob, v, w, block):
+    """Saddle problem of the minorants tangent at (v, w) in one block:
+    "v" over the reflection discs, "w" over the combiner's power ball."""
     t = pl.objective_terms(prob, v, w)
-    return from_minorants(
-        curvature=curvature_v(prob, w),
-        grads=pl.grad_v(prob, v, w, terms=t),
-        values=t.f,
-        x0=v,
-        domain="discs",
-    )
-
-
-def build_surrogate_w(prob, v, w):
-    t = pl.objective_terms(prob, v, w)
-    return from_minorants(
-        curvature=curvature_w(prob, v),
-        grads=pl.grad_w(prob, v, w, terms=t),
-        values=t.f,
-        x0=w,
-        domain="ball",
-        power=prob.power_alice,
-    )
+    if block == "v":
+        return from_minorants(curvature_v(prob, w),
+                              pl.grad_v(prob, v, w, terms=t), t.f, v, "discs")
+    return from_minorants(curvature_w(prob, v),
+                          pl.grad_w(prob, v, w, terms=t), t.f, w, "ball",
+                          power=prob.power_alice)
 
 
 def statistical_design(corr):
@@ -139,18 +128,16 @@ class BsumResult:
     converged: bool
     inner_iterations: int = 0
     rejected_steps: int = 0
-    iterates: list = None       # (block, v, w) expansion points if recorded
 
 
 def bsum_solve(prob, v0, w0, blocks="vw", tol=1e-4, max_iters=200,
-               inner_tol=1e-6, inner_max_iters=2000, keep_iterates=False):
+               inner_tol=1e-6, inner_max_iters=2000):
     """Alternating surrogate maximization from a feasible start.
 
-    ``blocks`` selects which variables move: "vw" (reflection then
-    combiner each outer iteration), "v", or "w".  Stops when one outer
-    iteration improves the worst-case gain by at most ``tol``.
-    ``keep_iterates`` records every surrogate expansion point as
-    (block, v, w) tuples for diagnostics.
+    Each outer iteration runs one block step per letter of ``blocks``
+    ("vw", "v" or "w"), in order; a step keeps its inner solution only if
+    the worst-case gain does not drop.  Stops when one outer iteration
+    improves the worst-case gain by at most ``tol``.
     """
     if blocks not in ("vw", "v", "w"):
         raise ValueError(f"blocks must be 'vw', 'v' or 'w', got {blocks!r}")
@@ -159,34 +146,20 @@ def bsum_solve(prob, v0, w0, blocks="vw", tol=1e-4, max_iters=200,
 
     current = pl.min_objective(prob, v, w)
     trace = [current]
-    iterates = [] if keep_iterates else None
     inner_total = 0
     rejected = 0
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        if "v" in blocks:
-            if keep_iterates:
-                iterates.append(("v", v.copy(), w.copy()))
-            sp = build_surrogate_v(prob, v, w)
-            res = mirror_prox_solve(sp, v, tol=inner_tol,
-                                    max_iters=inner_max_iters)
+        for block in blocks:
+            sp = build_surrogate(prob, v, w, block)
+            res = mirror_prox_solve(sp, v if block == "v" else w,
+                                    tol=inner_tol, max_iters=inner_max_iters)
             inner_total += res.iterations
-            cand = pl.min_objective(prob, res.x, w)
+            cand_v, cand_w = (res.x, w) if block == "v" else (v, res.x)
+            cand = pl.min_objective(prob, cand_v, cand_w)
             if cand >= current:
-                v, current = res.x, cand
-            else:
-                rejected += 1
-        if "w" in blocks:
-            if keep_iterates:
-                iterates.append(("w", v.copy(), w.copy()))
-            sp = build_surrogate_w(prob, v, w)
-            res = mirror_prox_solve(sp, w, tol=inner_tol,
-                                    max_iters=inner_max_iters)
-            inner_total += res.iterations
-            cand = pl.min_objective(prob, v, res.x)
-            if cand >= current:
-                w, current = res.x, cand
+                v, w, current = cand_v, cand_w, cand
             else:
                 rejected += 1
         trace.append(current)
@@ -203,21 +176,20 @@ def bsum_solve(prob, v0, w0, blocks="vw", tol=1e-4, max_iters=200,
         converged=converged,
         inner_iterations=inner_total,
         rejected_steps=rejected,
-        iterates=iterates,
     )
 
 
 def optimize_design(corr, tol=1e-4, max_iters=200, inner_tol=1e-6,
-                    inner_max_iters=2000, init=None):
-    """Optimize the design for a correlation set and return (w, v, result).
+                    inner_max_iters=2000):
+    """Optimize the design for a correlation set from the correlation-only
+    design and return (w, v, result); ``bsum_solve`` takes other starts.
 
-    ``init`` may supply a complex (w, v) warm start; the default is the
-    correlation-only design.  Both pass to the solver as they are: R_bs is
+    The complex (w, v) pass to the solver and back as they are: R_bs is
     real (``CorrelationSet`` rejects complex correlations), so the
     solver's m = Re(w^H R_bs w) is the key rate's w^T R_bs w*.
     """
     prob = pl.build_lifted(corr)
-    w0, v0 = statistical_design(corr) if init is None else init
+    w0, v0 = statistical_design(corr)
     res = bsum_solve(prob, v0, w0, tol=tol, max_iters=max_iters,
                      inner_tol=inner_tol, inner_max_iters=inner_max_iters)
     return res.w, res.v, res

@@ -233,9 +233,14 @@ def _sweep_configs(cfg, experiment):
 def _probe_record(corr, w, v, seeds, rounds):
     """Simulate the full probing exchange and return the bit disagreement
     rate between the legitimate sequences plus randomness p-values and
-    length of the user's bits."""
-    obs_a, obs_b, _ = simulate_probing(
-        corr, w, v, np.random.default_rng(seeds + [1]), rounds, eve=False)
+    length of the user's bits; ConfigError if an observation is not
+    finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        obs_a, obs_b, _ = simulate_probing(
+            corr, w, v, np.random.default_rng(seeds + [1]), rounds, eve=False)
+    if not (np.isfinite(obs_a).all() and np.isfinite(obs_b).all()):
+        raise ConfigError("probe observations are not finite: a gain or "
+                          "power overflows")
     bits_a = quantize_median_bits(np.abs(obs_a))
     bits_b = quantize_median_bits(np.abs(obs_b))
     return (bit_disagreement(bits_a, bits_b), frequency_test(bits_b),
@@ -313,9 +318,7 @@ def _run_sweep(cfg, experiment):
                 draws.append(corr)
                 for mi, method in enumerate(sub.methods):
                     seeds = [sub.seed, trial, si, mi]
-                    t0 = time.perf_counter()
-                    w, v = DESIGN_METHODS[method](corr, seeds)
-                    ms = (time.perf_counter() - t0) * 1e3
+                    (w, v), ms = _timed(DESIGN_METHODS[method], corr, seeds)
                     head = (experiment, sval, trial, method)
                     if probes:
                         pending.append((head, sub.seed, ms, pool.submit(

@@ -143,7 +143,6 @@ def _prox_step(sp, x, y, gx, gy, alpha):
 @dataclass
 class MirrorProxResult:
     x: np.ndarray        # best candidate by worst-minorant value
-    y: np.ndarray
     iterations: int
     converged: bool
     value: float         # min_k s_k at x
@@ -164,7 +163,6 @@ def mirror_prox_solve(sp, x0, tol=1e-6, max_iters=2000):
     alpha = 1.0 / (2.0 * lipschitz_bound(sp))
 
     x_sum = np.zeros_like(x)
-    y_sum = np.zeros_like(y)
     steps = np.empty(max_iters)
     converged = False
     it = 0
@@ -175,7 +173,6 @@ def mirror_prox_solve(sp, x0, tol=1e-6, max_iters=2000):
         x_next, y_next = _prox_step(sp, x, y, gx, gy, alpha)
 
         x_sum += x_mid
-        y_sum += y_mid
         dist = bregman(x_next, y_next, x, y)
         steps[it - 1] = dist
         x, y = x_next, y_next
@@ -195,7 +192,6 @@ def mirror_prox_solve(sp, x0, tol=1e-6, max_iters=2000):
     best = int(np.argmax(vals))
     return MirrorProxResult(
         x=candidates[best].copy(),
-        y=project_simplex(y_sum / max(it, 1)),
         iterations=it,
         converged=converged,
         value=vals[best],

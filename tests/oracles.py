@@ -542,6 +542,29 @@ def random_feasible_point(rng, prob, unit_modulus=False, full_power=False):
 
 
 # ---------------------------------------------------------------------------
+# solver trajectories
+
+
+def bsum_solve_recorded(prob, v0, w0, **kwargs):
+    """``bsum.bsum_solve`` and the (block, v, w) expansion point of every
+    surrogate it built, in order; ``bsum.build_surrogate`` is wrapped for
+    the call and put back after it."""
+    points = []
+    build = bsum.build_surrogate
+
+    def recording(prob, v, w, block):
+        points.append((block, v.copy(), w.copy()))
+        return build(prob, v, w, block)
+
+    bsum.build_surrogate = recording
+    try:
+        res = bsum.bsum_solve(prob, v0, w0, **kwargs)
+    finally:
+        bsum.build_surrogate = build
+    return res, points
+
+
+# ---------------------------------------------------------------------------
 # random scenario builders
 
 

@@ -40,10 +40,10 @@ def tracked_runs():
         v0 = pl.project_discs(oracles.complex_normal(rng, corr.n_ris) * 1.5)
         w0 = pl.project_ball(oracles.complex_normal(rng, corr.n_bs) * 1.5,
                              prob.power_alice)
-        cold = bsum.bsum_solve(prob, v0, w0, tol=1e-4, max_iters=200,
-                               keep_iterates=True)
+        cold, points = oracles.bsum_solve_recorded(prob, v0, w0, tol=1e-4,
+                                                   max_iters=200)
         _, _, warm = bsum.optimize_design(corr, tol=1e-4, max_iters=200)
-        runs.append((prob, cold, warm))
+        runs.append((prob, cold, points, warm))
     return runs
 
 
@@ -58,10 +58,9 @@ def preset_scale_runs():
             cfg, np.random.default_rng([cfg.seed, trial]))
         prob = pl.build_lifted(corr)
         w0, v0 = bsum.statistical_design(corr)
-        res = bsum.bsum_solve(prob, v0, w0,
-                              tol=cfg.bsum_tol, max_iters=cfg.bsum_max_iters,
-                              keep_iterates=True)
-        runs.append((prob, res))
+        res, points = oracles.bsum_solve_recorded(
+            prob, v0, w0, tol=cfg.bsum_tol, max_iters=cfg.bsum_max_iters)
+        runs.append((prob, res, points))
     return runs
 
 
@@ -143,10 +142,10 @@ def test_independent_eavesdropper_recovery():
         )
         w0 = oracles.random_combiner(rng, corr)
         v0 = oracles.random_reflect(rng, corr, unit_modulus=True)
-        w, v, _ = bsum.optimize_design(corr, tol=1e-10, max_iters=400,
-                                       init=(w0, v0))
+        res = bsum.bsum_solve(pl.build_lifted(corr), v0, w0, tol=1e-10,
+                              max_iters=400)
         ref = float(np.min(oracles.statistical_design_rate(corr)))
-        got = kc.min_kgr_bits(corr, w, v)
+        got = kc.min_kgr_bits(corr, res.w, res.v)
         worst = max(worst, abs(got - ref) / ref)
     elapsed = time.perf_counter() - start
     print(f"recovery worst rel gap {worst:.2e} ({elapsed:.1f}s)")
@@ -160,13 +159,13 @@ def test_independent_eavesdropper_recovery():
 
 def test_alternating_solver_monotone_and_convergent(tracked_runs,
                                                     preset_scale_runs):
-    for _, cold, warm in tracked_runs:
+    for _, cold, _, warm in tracked_runs:
         assert np.all(np.diff(cold.trace) >= -1e-8)
         assert warm.converged and warm.iterations <= 200
         assert np.all(np.diff(warm.trace) >= -1e-8)
-    preset_iters = [res.iterations for _, res in preset_scale_runs]
+    preset_iters = [res.iterations for _, res, _ in preset_scale_runs]
     print(f"default-scale iterations: max {max(preset_iters)} over 50 trials")
-    for _, res in preset_scale_runs:
+    for _, res, _ in preset_scale_runs:
         assert res.converged and res.iterations <= 25
         assert np.all(np.diff(res.trace) >= -1e-8)
 
@@ -258,16 +257,15 @@ def _reconstruction_scale(sp, x0):
 def test_surrogates_touch_and_minorize_along_runs(tracked_runs,
                                                   preset_scale_runs):
     rng = np.random.default_rng(77)
-    points = 0
-    trajectories = ([(prob, cold) for prob, cold, _ in tracked_runs]
-                    + list(preset_scale_runs))
-    for prob, res in trajectories:
-        for block, v, w in res.iterates:
+    checked = 0
+    trajectories = ([(prob, points) for prob, _, points, _ in tracked_runs]
+                    + [(prob, points) for prob, _, points in preset_scale_runs])
+    for prob, points in trajectories:
+        for block, v, w in points:
+            sp = bsum.build_surrogate(prob, v, w, block)
             if block == "v":
-                sp = bsum.build_surrogate_v(prob, v, w)
                 x0, grads = v, pl.grad_v(prob, v, w)
             else:
-                sp = bsum.build_surrogate_w(prob, v, w)
                 x0, grads = w, pl.grad_w(prob, v, w)
             truth = pl.objective(prob, v, w)
             scale = _reconstruction_scale(sp, x0)
@@ -286,8 +284,8 @@ def test_surrogates_touch_and_minorize_along_runs(tracked_runs,
                     f = pl.objective(prob, v, x)
                 gap = f - mp.minorant_values(sp, x)
                 assert np.all(gap >= -1e-8 * _reconstruction_scale(sp, x))
-            points += 1
-    print(f"surrogate tangency verified at {points} expansion points")
+            checked += 1
+    print(f"surrogate tangency verified at {checked} expansion points")
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def _reconstruction_scale(sp, x0):
 def test_surrogate_v_touches_and_minorizes():
     for seed in range(15):
         rng, corr, prob, v, w = _normalized_problem(seed)
-        sp = bsum.build_surrogate_v(prob, v, w)
+        sp = bsum.build_surrogate(prob, v, w, "v")
         truth = pl.objective(prob, v, w)
         scale = _reconstruction_scale(sp, v)
         assert np.all(np.abs(mp.minorant_values(sp, v) - truth)
@@ -79,7 +79,7 @@ def test_surrogate_v_touches_and_minorizes():
 def test_surrogate_w_touches_and_minorizes():
     for seed in range(15):
         rng, corr, prob, v, w = _normalized_problem(seed)
-        sp = bsum.build_surrogate_w(prob, v, w)
+        sp = bsum.build_surrogate(prob, v, w, "w")
         truth = pl.objective(prob, v, w)
         scale = _reconstruction_scale(sp, w)
         assert np.all(np.abs(mp.minorant_values(sp, w) - truth)
@@ -130,14 +130,14 @@ def test_single_block_modes_leave_other_block_fixed():
 
 def test_recorded_iterates_are_expansion_points():
     _, _, prob, v, w = _normalized_problem(5)
-    res = bsum.bsum_solve(prob, v, w, tol=1e-6, max_iters=50,
-                          keep_iterates=True)
-    assert len(res.iterates) == 2 * res.iterations
-    assert [b for b, _, _ in res.iterates[:2]] == ["v", "w"]
-    b0, v0, w0 = res.iterates[0]
+    res, points = oracles.bsum_solve_recorded(prob, v, w, tol=1e-6,
+                                              max_iters=50)
+    assert len(points) == 2 * res.iterations
+    assert [b for b, _, _ in points[:2]] == ["v", "w"]
+    b0, v0, w0 = points[0]
     assert np.allclose(v0, pl.project_discs(v))
     # every recorded point stays feasible
-    for _, vi, wi in res.iterates:
+    for _, vi, wi in points:
         assert np.all(np.abs(vi) <= 1 + 1e-9)
         assert np.vdot(wi, wi).real <= prob.power_alice + 1e-9
 
@@ -161,8 +161,7 @@ def test_independent_eavesdropper_recovery_small():
         target = pl.min_objective(prob, v_opt, w_opt)
         w0 = oracles.random_combiner(rng, corr)
         v0 = oracles.random_reflect(rng, corr)
-        _, _, res = bsum.optimize_design(
-            corr, tol=1e-13, max_iters=1000, init=(w0, v0))
+        res = bsum.bsum_solve(prob, v0, w0, tol=1e-13, max_iters=1000)
         worst = max(worst, (target - res.objective) / abs(target))
     assert worst <= 1e-3
 
@@ -185,6 +184,27 @@ def test_optimize_design_returns_feasible_pair():
     assert np.vdot(w, w).real <= corr.power_alice + 1e-9
     assert np.all(np.abs(v) <= 1 + 1e-9)
     assert res.objective >= res.trace[0] - 1e-12
+
+
+def _counted(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_optimize_design_calls_every_traced_name(monkeypatch):
+    # the benchmark's tracer wraps these module attributes; a call that
+    # bypassed one would drop out of its per-layer report
+    traced = ((bsum, "curvature_v"), (bsum, "curvature_w"),
+              (bsum, "mirror_prox_solve"), (pl, "build_lifted"),
+              (pl, "objective_terms"))
+    calls = {name: 0 for _, name in traced}
+    for module, name in traced:
+        monkeypatch.setattr(module, name,
+                            _counted(calls, name, getattr(module, name)))
+    bsum.optimize_design(oracles.random_corr(np.random.default_rng(3)))
+    assert all(calls.values()), calls
 
 
 # ---------------------------------------------------------------------------

@@ -563,6 +563,28 @@ def test_bdr_rejects_an_overflowing_fixed_link(tmp_path, capsys):
     assert not (tmp_path / "run" / "bdr.csv").exists()
 
 
+def test_bdr_rejects_an_overflowing_probe_power(tmp_path, capsys):
+    # 2000 dBm is 1e197 W: the designs and gains are finite, the probe's
+    # observations are not; with RuntimeWarning as an error it still exits 2
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("sweep_power_dbm = 10, 2000\n")
+    args = ["bdr_vs_power", "--preset", "desk", "--trials", "1",
+            "--config", str(bad)]
+    assert cli.main([*args, "--out", str(tmp_path / "here")]) == 2
+    assert "probe observations are not finite" in capsys.readouterr().err
+    assert not (tmp_path / "here" / "bdr.csv").exists()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    strict = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ris_skg.cli",
+         *args, "--out", str(tmp_path / "strict")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert strict.returncode == 2, strict.stderr
+    assert "probe observations are not finite" in strict.stderr
+    assert not (tmp_path / "strict" / "bdr.csv").exists()
+
+
 def test_cli_rejects_config_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"trials = 2\n\xff\n")
