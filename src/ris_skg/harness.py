@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import itertools
 import json
 import math
 import os
@@ -264,7 +265,7 @@ def _cpu_count():
 
 
 # probes submitted but not yet collected, per worker thread; bounds the
-# draws, designs and results held at once however many trials run
+# draws and results held at once however many trials run
 _IN_FLIGHT_PER_WORKER = 2
 
 
@@ -277,23 +278,41 @@ def _stack_draws(draws):
         for name in ("beta_ae", "beta_re", "rho_eve")))
 
 
+def _draw(sub, trial):
+    """A trial's scenario: its eavesdropper drawn from ``[seed, trial]``."""
+    return build_correlations(sub, np.random.default_rng([sub.seed, trial]))
+
+
+def _design_seeds(sub, si, method):
+    """A design method's stream at sweep point ``si``: keyed on its name,
+    not its position, so its rows do not depend on which other methods run.
+    The trailing 2 keeps it apart from Eve's ``[seed, trial]``, which
+    SeedSequence pads with zeros to four words, and from a probe's
+    ``[seed, trial, si, mi, 1]``."""
+    return [sub.seed, si, *method.encode(), 2]
+
+
 def _run_sweep(cfg, experiment):
-    """Common driver: per sweep value, trial, and method, build the
-    scenario, run the design, and record what the experiment measures of
-    it.  Every sweep point's config is built, and so checked, before the
-    first trial runs.
+    """Common driver: per sweep value, make the point's designs in one call
+    per method, draw each trial's scenario, and record what the experiment
+    measures of each design on each draw.  Every sweep point's config is
+    built, and so checked, before the first trial runs.  A design reads no
+    draw's eavesdropper, so each method sees the point's first draw, and a
+    timing row's design time is the method's call time divided by
+    ``trials``.
 
     A probing experiment probes each design on a pool of one thread per CPU
     the process may use.  Draws and designs stay on this thread, in row
     order, and each probe draws from its own streams, so the rows do not
     depend on the thread count; they are collected in submission order,
-    with at most ``_IN_FLIGHT_PER_WORKER`` probes per thread pending.
+    with at most ``_IN_FLIGHT_PER_WORKER`` probes per thread pending, and
+    a draw is built when its probes are submitted.
     A timing row is the design's time plus its probe's own wall time, so
     rows overlap and their sum can exceed the run's.  The pool is joined
     before this returns or raises.
 
     The key-rate experiments rate a sweep point's designs together, in one
-    ``min_kgr_bits`` call after its last trial, and a timing row covers the
+    ``min_kgr_bits`` call after its last draw, and a timing row covers the
     design alone; a rate that is not finite raises ConfigError."""
     probes = EXPERIMENTS[experiment].probes
     points = _sweep_configs(cfg, experiment)
@@ -311,37 +330,42 @@ def _run_sweep(cfg, experiment):
     pool = ThreadPoolExecutor(workers)
     try:
         for si, (sval, sub) in enumerate(points):
-            draws, designs = [], []
-            for trial in range(sub.trials):
-                corr = build_correlations(
-                    sub, np.random.default_rng([sub.seed, trial]))
-                draws.append(corr)
-                for mi, method in enumerate(sub.methods):
-                    seeds = [sub.seed, trial, si, mi]
-                    (w, v), ms = _timed(DESIGN_METHODS[method], corr, seeds)
-                    head = (experiment, sval, trial, method)
-                    if probes:
-                        pending.append((head, sub.seed, ms, pool.submit(
-                            _timed, _probe_record, corr, w, v, seeds,
-                            sub.probe_rounds)))
+            first = _draw(sub, 0)
+            ws, vs, design_ms = [], [], []
+            for method in sub.methods:
+                (w, v), ms = _timed(DESIGN_METHODS[method], first,
+                                    _design_seeds(sub, si, method),
+                                    sub.trials)
+                ws.append(w)
+                vs.append(v)
+                design_ms.append(ms / sub.trials)
+            later = (_draw(sub, trial) for trial in range(1, sub.trials))
+            draws = itertools.chain([first], later)
+            if probes:
+                for trial, corr in enumerate(draws):
+                    for mi, method in enumerate(sub.methods):
+                        future = pool.submit(
+                            _timed, _probe_record, corr, ws[mi][trial],
+                            vs[mi][trial], [sub.seed, trial, si, mi],
+                            sub.probe_rounds)
+                        pending.append(((experiment, sval, trial, method),
+                                        sub.seed, design_ms[mi], future))
                         if len(pending) == in_flight:
                             collect()
-                    else:
-                        designs.append((w, v))
-                        timings.append((*head, ms))
-            if designs:
-                shape = (sub.trials, len(sub.methods), -1)
-                w, v = (np.reshape(x, shape) for x in zip(*designs))
-                with np.errstate(all="ignore"):
-                    rates = min_kgr_bits(_stack_draws(draws), w, v)
-                if not np.isfinite(rates).all():
-                    raise ConfigError(
-                        f"key rates at sweep value {_fmt(sval)} are not "
-                        "finite: a gain or power overflows")
-                rows.extend((experiment, sval, trial, method,
-                             rates[trial, mi], sub.seed)
-                            for trial in range(sub.trials)
-                            for mi, method in enumerate(sub.methods))
+                continue
+            with np.errstate(all="ignore"):
+                rates = min_kgr_bits(_stack_draws(list(draws)),
+                                     np.stack(ws, axis=1),
+                                     np.stack(vs, axis=1))
+            if not np.isfinite(rates).all():
+                raise ConfigError(
+                    f"key rates at sweep value {_fmt(sval)} are not "
+                    "finite: a gain or power overflows")
+            for trial in range(sub.trials):
+                for mi, method in enumerate(sub.methods):
+                    head = (experiment, sval, trial, method)
+                    rows.append((*head, rates[trial, mi], sub.seed))
+                    timings.append((*head, design_ms[mi]))
         while pending:
             collect()
     finally:

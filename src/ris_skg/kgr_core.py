@@ -12,7 +12,8 @@ A design enters the rate only through three scalars (``design_gains``),
 so one call can rate a stack of designs: ``w`` and ``v`` may carry
 leading axes that index designs, and the correlation set's per-antenna
 arrays (antenna first) may carry further axes that broadcast against
-them.  Every step after the three scalars is elementwise, so a design's
+them.  The three scalars are stacked products, one ``matmul`` each over
+the whole stack, and every step after them is elementwise, so a design's
 rate in a stack is bit-identical to its rate alone.
 """
 
@@ -44,20 +45,21 @@ def design_gains(corr, w, v):
     m_w = w^T R_bs w*, q_v = v^H (R_ris o R_ris) v and ||w||^2.
 
     ``w`` is (..., M) and ``v`` (..., N) with the same leading shape; each
-    scalar comes back with that shape (a NumPy scalar for one design),
-    computed design by design.  The real matrices are cast to complex once
-    here, not by NumPy inside every product; the products are the same.
+    scalar comes back with that shape (a NumPy scalar for one design).
+    Each is one stacked product of shape (D,1,M) @ (M,M) @ (D,M,1) over
+    the D designs, which gives each design the bits its own product gives.
+    The real matrices are cast to complex once here, not by NumPy inside
+    every product; the products are the same.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    bs_corr = corr.bs_corr.astype(complex)
-    ris_had = corr.ris_had.astype(complex)
-    per_design = [(np.real(wi @ bs_corr @ np.conj(wi)),
-                   np.real(np.conj(vi) @ ris_had @ vi),
-                   np.real(np.vdot(wi, wi)))
-                  for wi, vi in zip(w.reshape(-1, w.shape[-1]),
-                                    v.reshape(-1, v.shape[-1]))]
-    return tuple(np.array(per_design).T.reshape(3, *w.shape[:-1]))
+    lead = w.shape[:-1]
+    w = w.reshape(-1, 1, w.shape[-1])
+    v = v.reshape(-1, 1, v.shape[-1])
+    m_w = w @ corr.bs_corr.astype(complex) @ np.conj(w).swapaxes(1, 2)
+    q_v = np.conj(v) @ corr.ris_had.astype(complex) @ v.swapaxes(1, 2)
+    wsq = np.conj(w) @ w.swapaxes(1, 2)
+    return tuple(np.real(x).reshape(lead)[()] for x in (m_w, q_v, wsq))
 
 
 def effective_gains(corr, w, v):

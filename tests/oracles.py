@@ -225,6 +225,23 @@ def eve_covariance(corr, w, v):
     return cov
 
 
+def design_gains_loop(corr, w, v):
+    """m_w, q_v and ||w||^2 computed design by design: a 1-D product chain
+    and ``np.vdot`` per design, stacked into arrays of the designs' leading
+    shape.  The reference for ``kgr_core.design_gains``'s stacked
+    products."""
+    w = np.asarray(w, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    bs_corr = corr.bs_corr.astype(complex)
+    ris_had = corr.ris_had.astype(complex)
+    per_design = [(np.real(wi @ bs_corr @ np.conj(wi)),
+                   np.real(np.conj(vi) @ ris_had @ vi),
+                   np.real(np.vdot(wi, wi)))
+                  for wi, vi in zip(w.reshape(-1, w.shape[-1]),
+                                    v.reshape(-1, v.shape[-1]))]
+    return tuple(np.array(per_design).T.reshape(3, *w.shape[:-1]))
+
+
 def empirical_covariance_blocks(alice, bob, eve, noise_power, combiner_sq):
     """Sample covariance entries from simulated probing sequences.
 

@@ -28,16 +28,26 @@ def test_eigen_combiner_alignment_and_power():
 def test_random_designs_hit_their_constraints():
     rng = np.random.default_rng(1)
     corr = oracles.random_corr(rng)
-    w = bl.random_combiner(corr, rng)
-    assert np.vdot(w, w).real == pytest.approx(corr.power_alice)
-    v = bl.random_phases(corr, rng)
+    w = bl.random_combiner(corr, rng, 5)
+    assert w.shape == (5, corr.n_bs)
+    assert np.allclose(np.sum(np.abs(w) ** 2, axis=1), corr.power_alice)
+    v = bl.random_phases(corr, rng, 5)
+    assert v.shape == (5, corr.n_ris)
     assert np.allclose(np.abs(v), 1.0)
     assert np.allclose(statistical_design(corr)[1], 1.0)
-    # seeded draws are reproducible
-    w2 = bl.random_combiner(corr, np.random.default_rng(1))
-    v2 = bl.random_phases(corr, np.random.default_rng(1))
-    assert np.allclose(bl.random_combiner(corr, np.random.default_rng(1)), w2)
-    assert np.allclose(bl.random_phases(corr, np.random.default_rng(1)), v2)
+    # seeded draws are reproducible, and one call's rows are the draws of
+    # one generator in row order
+    w2 = bl.random_combiner(corr, np.random.default_rng(1), 5)
+    v2 = bl.random_phases(corr, np.random.default_rng(1), 5)
+    assert np.array_equal(bl.random_combiner(corr, np.random.default_rng(1),
+                                             5), w2)
+    assert np.array_equal(bl.random_phases(corr, np.random.default_rng(1), 5),
+                          v2)
+    assert np.array_equal(bl.random_phases(corr, np.random.default_rng(1), 3),
+                          v2[:3])
+    # the rows are distinct draws
+    assert len({row.tobytes() for row in w2}) == 5
+    assert len({row.tobytes() for row in v2}) == 5
 
 
 def test_projected_subgradient_improves_feasibly():
@@ -106,29 +116,41 @@ def test_registry_contract():
         "subgradient"}
     rng = np.random.default_rng(6)
     corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
+    trials = 4
     for name, method in bl.DESIGN_METHODS.items():
-        w, v = method(corr, np.random.default_rng(7))
-        assert w.shape == (corr.n_bs,)
-        assert v.shape == (corr.n_ris,)
-        assert np.vdot(w, w).real <= corr.power_alice + 1e-9
+        w, v = method(corr, np.random.default_rng(7), trials)
+        assert w.shape == (trials, corr.n_bs), name
+        assert v.shape == (trials, corr.n_ris), name
+        assert np.all(np.sum(np.abs(w) ** 2, axis=1)
+                      <= corr.power_alice + 1e-9)
         assert np.all(np.abs(v) <= 1 + 1e-9)
-        rate = min_kgr_bits(corr, w, v)
-        assert np.isfinite(rate) and rate >= -1e-12
+        for w_row, v_row in zip(w, v):
+            rate = min_kgr_bits(corr, w_row, v_row)
+            assert np.isfinite(rate) and rate >= -1e-12
     # the correlation-only design is the exact max-min optimum, so the
-    # optimized and subgradient methods return it as is, and iid_bs
-    # aligns every phase
+    # optimized and subgradient methods return it as is on every row, and
+    # iid_bs aligns every phase
     w_stat, v_stat = statistical_design(corr)
-    for name in ("optimized", "subgradient"):
-        w, v = bl.DESIGN_METHODS[name](corr, np.random.default_rng(7))
-        assert np.array_equal(w, w_stat) and np.array_equal(v, v_stat)
-    w, v = bl.DESIGN_METHODS["iid_bs"](corr, np.random.default_rng(7))
-    assert np.array_equal(v, np.ones(corr.n_ris))
+    for name in ("optimized", "statistical", "subgradient"):
+        w, v = bl.DESIGN_METHODS[name](corr, np.random.default_rng(7), trials)
+        assert all(np.array_equal(row, w_stat) for row in w)
+        assert all(np.array_equal(row, v_stat) for row in v)
+    w, v = bl.DESIGN_METHODS["iid_ris"](corr, np.random.default_rng(7),
+                                        trials)
+    assert all(np.array_equal(row, w_stat) for row in w)
+    assert np.array_equal(v, bl.random_phases(corr, np.random.default_rng(7),
+                                              trials))
+    w, v = bl.DESIGN_METHODS["iid_bs"](corr, np.random.default_rng(7), trials)
+    assert np.array_equal(v, np.ones((trials, corr.n_ris)))
     assert np.array_equal(w, bl.random_combiner(corr,
-                                                np.random.default_rng(7)))
+                                                np.random.default_rng(7),
+                                                trials))
 
 
 def test_no_ris_design_zeroes_the_surface():
     rng = np.random.default_rng(8)
     corr = oracles.random_corr(rng)
-    w, v = bl.DESIGN_METHODS["no_ris"](corr, rng)
+    w, v = bl.DESIGN_METHODS["no_ris"](corr, rng, 3)
+    assert v.shape == (3, corr.n_ris)
     assert np.all(v == 0)
+    assert all(np.array_equal(row, statistical_design(corr)[0]) for row in w)

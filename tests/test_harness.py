@@ -1,6 +1,7 @@
 """Quantization, randomness checks, experiment artifacts, and the CLI."""
 
 import argparse
+import collections
 import itertools
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +44,12 @@ sweep_eve_radius_m = 2, 5
 
 def _tiny_cfg(**over):
     return replace(hn.build_config("desk", _TINY), **over)
+
+
+def _draws(sub):
+    """A sweep point's draws, each from its own Eve stream."""
+    return [cm.build_correlations(sub, np.random.default_rng([sub.seed, t]))
+            for t in range(sub.trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +356,20 @@ def test_batched_rates_equal_per_call_rates(tmp_path):
                   r["min_kgr_bits"] for r in rows}
         rates = {(hn._fmt(row[1]), row[2], row[3]): row[4] for row in raw}
         for si, (sval, sub) in enumerate(points):
-            for trial in range(sub.trials):
-                corr = cm.build_correlations(
-                    sub, np.random.default_rng([sub.seed, trial]))
-                for mi, method in enumerate(sub.methods):
-                    w, v = hn.DESIGN_METHODS[method](
-                        corr, [sub.seed, trial, si, mi])
-                    alone = min_kgr_bits(corr, w, v)
+            draws = _draws(sub)
+            for method in sub.methods:
+                w, v = hn.DESIGN_METHODS[method](
+                    draws[0], hn._design_seeds(sub, si, method), sub.trials)
+                for trial, corr in enumerate(draws):
+                    alone = min_kgr_bits(corr, w[trial], v[trial])
                     key = (hn._fmt(sval), trial, method)
                     assert rates[key] == alone, (experiment, key)
                     assert by_key[key] == format(alone, ".12g")
 
 
 def test_designs_that_draw_nothing_build_no_generator(tmp_path, monkeypatch):
-    # only Eve's draw and the stochastic designs need a generator
+    # a generator per draw for Eve, and one per sweep point for each
+    # stochastic design, which draws all of the point's trials from it
     calls = []
     real = np.random.default_rng
 
@@ -370,9 +378,72 @@ def test_designs_that_draw_nothing_build_no_generator(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "default_rng", counted)
-    cfg = _tiny_cfg(trials=4, methods=("optimized", "no_ris"))
+    cfg = _tiny_cfg(trials=4, methods=("optimized", "iid_ris", "no_ris",
+                                       "random", "statistical"))
     hn.run_experiment("kgr_vs_n", cfg, str(tmp_path))
-    assert len(calls) == cfg.trials * len(cfg.sweep_ris_shapes)
+    points = len(cfg.sweep_ris_shapes)
+    assert len(calls) == cfg.trials * points + 2 * points
+
+
+@pytest.mark.parametrize("methods", [
+    ("iid_ris", "optimized", "random", "iid_bs"),
+    ("optimized", "random", "iid_bs", "iid_ris"),
+])
+def test_eve_design_and_probe_streams_are_distinct(tmp_path, monkeypatch,
+                                                   methods):
+    # SeedSequence pads a seed list with zeros to four words, so a design
+    # seeded [seed, trial, 0, 0] draws the numbers of Eve's [seed, trial];
+    # every stream a probing run builds must start differently
+    seeds = []
+    real = np.random.default_rng
+
+    def recorded(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    cfg = _tiny_cfg(trials=3, methods=methods)
+    hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
+    # Eve's draw of a trial is the same at every point; a probe per (point,
+    # trial, method), and at most one design stream per (point, method)
+    streams = {tuple(seed) for seed in seeds}
+    points = len(cfg.sweep_power_dbm)
+    assert len(streams) >= cfg.trials * (1 + points * len(methods))
+    first = {real(list(seed)).bit_generator.random_raw(4).tobytes()
+             for seed in streams}
+    assert len(first) == len(streams)
+
+
+def test_a_method_rows_do_not_depend_on_the_other_methods(tmp_path):
+    # each method's result rows are the same bytes whichever other methods
+    # run beside it, and in whatever order
+    def rows_by_method(methods, name):
+        info = hn.run_experiment("kgr_vs_power", _tiny_cfg(
+            trials=3, methods=methods), str(tmp_path / name))
+        out = collections.defaultdict(list)
+        for row in hn.read_csv_rows(info["results"]):
+            out[row["method"]].append(row)
+        return out
+
+    every = tuple(hn.DESIGN_METHODS)
+    together = rows_by_method(every, "all")
+    assert rows_by_method(every[::-1], "reversed") == together
+    for method in every:
+        assert rows_by_method((method,), method)[method] == together[method]
+
+
+def test_each_method_gives_the_same_rows_on_every_draw():
+    # a design never reads Eve, so the point's draws all give the same rows
+    cfg = _tiny_cfg(trials=4)
+    for si, (_, sub) in enumerate(hn._sweep_configs(cfg, "kgr_vs_power")):
+        draws = _draws(sub)
+        assert len({corr.beta_ae.tobytes() for corr in draws}) == len(draws)
+        for method, design in hn.DESIGN_METHODS.items():
+            seeds = hn._design_seeds(sub, si, method)
+            w0, v0 = design(draws[0], seeds, sub.trials)
+            for corr in draws[1:]:
+                w, v = design(corr, seeds, sub.trials)
+                assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -395,15 +466,17 @@ def test_probe_pool_keeps_the_rows(tmp_path, monkeypatch, workers):
 
     want = []
     for si, (sval, sub) in enumerate(hn._sweep_configs(cfg, "bdr_vs_power")):
-        for trial in range(sub.trials):
-            corr = cm.build_correlations(
-                sub, np.random.default_rng([sub.seed, trial]))
-            for mi, method in enumerate(sub.methods):
+        draws = _draws(sub)
+        designs = [hn.DESIGN_METHODS[method](
+            draws[0], hn._design_seeds(sub, si, method), sub.trials)
+            for method in sub.methods]
+        for trial, corr in enumerate(draws):
+            for mi, (method, (w, v)) in enumerate(zip(sub.methods, designs)):
                 seeds = [sub.seed, trial, si, mi]
-                w, v = hn.DESIGN_METHODS[method](corr, seeds)
                 want.append(("bdr_vs_power", sval, trial, method,
-                             *hn._probe_record(corr, w, v, seeds,
-                                               sub.probe_rounds), sub.seed))
+                             *hn._probe_record(corr, w[trial], v[trial],
+                                               seeds, sub.probe_rounds),
+                             sub.seed))
     assert len(want) == 2 * 2 * 3
     assert raw == want
     assert [row[:4] for row in timings] == [row[:4] for row in want]
@@ -433,19 +506,20 @@ def test_a_failing_probe_reaches_the_caller_and_writes_nothing(
 
 
 def test_probes_in_flight_stay_bounded(tmp_path, monkeypatch):
-    # designs built minus probes finished, taken as each design is built;
-    # each probe also sleeps 1 ms, which its timing row must include
+    # probes submitted minus probes finished, taken at each submission,
+    # stays within two per worker thread; each probe also sleeps 1 ms,
+    # which its timing row must include
     workers = 2
     monkeypatch.setattr(hn, "_cpu_count", lambda: workers)
-    built, finished, gaps = [], [], []
-    for method, design in list(hn.DESIGN_METHODS.items()):
-        def counted_design(*args, _design=design):
-            out = _design(*args)
-            built.append(1)
-            gaps.append(len(built) - len(finished))
-            return out
+    submitted, finished, gaps = [], [], []
 
-        monkeypatch.setitem(hn.DESIGN_METHODS, method, counted_design)
+    class CountedPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(1)
+            gaps.append(len(submitted) - len(finished))
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(hn, "ThreadPoolExecutor", CountedPool)
     real = hn._probe_record
 
     def counted_probe(*args):
@@ -457,8 +531,8 @@ def test_probes_in_flight_stay_bounded(tmp_path, monkeypatch):
     monkeypatch.setattr(hn, "_probe_record", counted_probe)
     cfg = _tiny_cfg(trials=10, methods=("optimized", "random", "no_ris"))
     info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
-    assert len(built) == len(finished) == info["rows"] == 2 * 10 * 3
-    assert max(gaps) <= hn._IN_FLIGHT_PER_WORKER * workers
+    assert len(submitted) == len(finished) == info["rows"] == 2 * 10 * 3
+    assert max(gaps) <= 2 * workers
     assert all(float(r["milliseconds"]) >= 1.0
                for r in hn.read_csv_rows(info["timings"]))
 

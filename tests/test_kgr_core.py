@@ -1,12 +1,16 @@
 """Key-rate formulas: closed form and the scalar summary (acceptance test 1
 compares the closed form with the determinant)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ris_skg import harness as hn
 from ris_skg import kgr_core as kc
+from ris_skg.channel_model import build_correlations
 
 import oracles
 
@@ -74,6 +78,31 @@ def test_rate_nonnegative_and_min_selects_worst():
         assert rates.shape == (4,)
         assert np.all(rates >= -1e-12)
         assert kc.min_kgr_bits(corr, w, v) == pytest.approx(np.min(rates))
+
+
+@pytest.mark.parametrize("preset", ["paper", "desk"])
+def test_stacked_design_gains_equal_the_loop(preset):
+    # at the preset's shapes and every shape its M and N sweeps reach, each
+    # scalar of a (trial, method) stack of designs has the bits the
+    # per-design loop gives, and so does a single design's call
+    cfg = hn.build_config(preset)
+    rng = np.random.default_rng(11)
+    for bs in sorted({cfg.bs_shape, *cfg.sweep_bs_shapes}):
+        for ris in sorted({cfg.ris_shape, *cfg.sweep_ris_shapes}):
+            corr = build_correlations(
+                replace(cfg, bs_shape=bs, ris_shape=ris),
+                np.random.default_rng(0))
+            w = oracles.complex_normal(rng, 6, 5, corr.n_bs)
+            v = np.exp(2j * np.pi * rng.uniform(size=(6, 5, corr.n_ris)))
+            v[:, 4] = 0.0   # the no-surface design
+            stacked = kc.design_gains(corr, w, v)
+            loop = oracles.design_gains_loop(corr, w, v)
+            for got, want in zip(stacked, loop):
+                assert got.shape == (6, 5)
+                assert np.array_equal(got, want), (bs, ris)
+            alone = kc.design_gains(corr, w[2, 3], v[2, 3])
+            assert all(np.ndim(x) == 0 for x in alone)
+            assert alone == tuple(x[2, 3] for x in stacked), (bs, ris)
 
 
 def test_empirical_covariance_recovers_known_moments():
