@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import get_args, get_type_hints
@@ -462,7 +463,9 @@ def draw_eve_positions(config, rng):
     return pos
 
 
-@lru_cache(maxsize=4)
+# a probing sweep draws each trial at every sweep point in turn, so the
+# cache holds a long sweep's points
+@lru_cache(maxsize=64)
 def _shared_draw(config):
     """What every Eve draw of one config shares, built once and keyed on
     the config itself (an immutable value, checked when it was built): a
@@ -507,8 +510,8 @@ def build_correlations(config, rng):
     """Assemble a CorrelationSet for one Monte-Carlo trial.
 
     The only randomness is Eve's placement; everything else is determined
-    by the config and built once per distinct config (a few are memoized),
-    so a trial pays for Eve's draw alone.
+    by the config and built once per distinct config (the last 64 are
+    memoized), so a trial pays for Eve's draw alone.
     """
     shared, ends, eve_exponents = _shared_draw(config)
     diff = draw_eve_positions(config, rng) - ends[:, None]
@@ -535,7 +538,37 @@ def _cn(rng, *shape):
     return x.view(complex)[..., 0]
 
 
-def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
+_ProbePoint = namedtuple("_ProbePoint", "lam w_sq sig2 pb beta_rb direct x_d "
+                         "eve_cascade eve_direct fresh_u fresh_0")
+
+
+def _probe_point(corr, w, v):
+    """What one design's observations need besides the shared draws (see
+    ``simulate_probing``): the cascade weights lambda, the legitimate
+    scalars and Eve's per-antenna weights.  ValueError if ``w`` is zero."""
+    w_sq = np.vdot(w, w).real
+    if not w_sq:
+        raise ValueError("w must be nonzero")
+    root_bs, root_ris = corr.bs_corr_sqrt, corr.ris_corr_sqrt
+    link = (root_ris * v) @ root_ris.T
+    lam = (corr.beta_ar * np.linalg.norm(root_bs.T @ w) ** 2
+           * np.linalg.svd(link, compute_uv=False) ** 2)
+    direct = np.linalg.norm(root_bs @ w)
+    # Eve's weights on ||u|| s_b and D d, and her fresh variance as
+    # fresh_u ||u||^2 + fresh_0
+    rho = corr.rho_eve
+    mix_sq = np.clip(1.0 - rho ** 2, 0.0, None)
+    return _ProbePoint(
+        lam=lam, w_sq=w_sq, sig2=corr.noise_power, pb=corr.power_bob,
+        beta_rb=corr.beta_rb, direct=direct,
+        x_d=np.sqrt(corr.beta_ab) * direct,
+        eve_cascade=rho * np.sqrt(corr.beta_re),
+        eve_direct=rho * np.sqrt(corr.beta_ae),
+        fresh_u=mix_sq * corr.beta_re,
+        fresh_0=mix_sq * corr.beta_ae * direct ** 2 + corr.noise_power)
+
+
+def simulate_probing(corr, w, v, rng, rounds, chunk=4096, *, eve=True):
     """Simulate probing rounds and return the three observation sequences.
 
     Per round the channel and the noises are drawn fresh.  Returns
@@ -544,6 +577,15 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
     downlink estimates.  With ``eve=False`` Eve is not drawn and the third
     value is None; Alice's and Bob's sequences are the same either way.
     ``w`` must be nonzero (ValueError otherwise).
+
+    ``w`` of shape (P, M) and ``v`` of shape (P, N) stack P designs, one
+    per point (as in ``kgr_core``), and ``corr`` is then a sequence of P
+    CorrelationSets, one per point: a sweep point's powers, gains and
+    eavesdropper may differ.  Every output gains a leading axis of P, and
+    point p is bit-identical to a call on its design and set alone: the
+    points share the draws, which are common random numbers, and each
+    keeps its own law.  So the points must share N and K (ValueError
+    otherwise).
 
     Each round draws only the sufficient statistics of its observations;
     the joint law is that of full channel draws (``sample_channels`` in
@@ -560,8 +602,9 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
       u^T x_k = ||u|| (rho_k s_b + sqrt(1 - rho_k^2) s_k) with s_b, s_k
       independent CN(0, 1) scalars.
     * ||u||^2 = beta_ar ||R_bs^1/2T w||^2 sum_i lambda_i E_i with lambda
-      the eigenvalues of L^H L (computed once per call) and E_i ~ Exp(1):
-      N real draws per round instead of an M x N complex matrix.
+      the eigenvalues of L^H L (computed once per call and point) and
+      E_i ~ Exp(1): N real draws per round instead of an M x N complex
+      matrix.  Each point's ||u||^2 is one product E @ lambda_p.
     * Direct path h_ab^T w = sqrt(beta_ab) D d with D = ||R_bs^1/2 w|| and
       d ~ CN(0, 1); Eve's is sqrt(beta_ae,k) D (rho_k d + sqrt(1 - rho_k^2)
       d_k).
@@ -586,66 +629,85 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=65536, *, eve=True):
       + sigma^2: 2 + K draws per round.
 
     The exponentials, the legitimate scalars and Eve's scalars come from
-    three streams spawned from ``rng``, each drawn round by round, so the
-    output does not depend on ``chunk`` (which bounds memory at
-    chunk x N reals) nor on ``eve``.  With the surface off (v = 0) every
-    lambda_i is zero, so ||u||^2 = 0, g is one number and the exponentials
-    are not drawn; the other two streams are unchanged.
+    three streams spawned from ``rng``, each drawn round by round and
+    shared by every point, so the output does not depend on ``eve``; nor
+    on ``chunk``, wherever the BLAS product E @ lambda gives a round the
+    same bits in any block of rounds (at N = 20 a block of 7 did not).
+    With a point's surface off (v = 0) its lambda_i are all zero, so its
+    ||u||^2 = 0 and its g is one number; when every point's is, the
+    exponentials are not drawn.  The other two streams are unchanged
+    either way.
+
+    Memory: each output holds P x rounds values (Eve's P x rounds x K),
+    and the points' ||u||^2 up to P x rounds reals.  Those are taken
+    first, from chunk x N exponentials at a time, each chunk dropped once
+    its P products are taken; then the outputs are made and filled from
+    chunk x (4 + K) normals at a time.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    w_sq = np.vdot(w, w).real
-    if not w_sq:
-        raise ValueError("w must be nonzero")
-    sig2, pb = corr.noise_power, corr.power_bob
-    root_bs, root_ris = corr.bs_corr_sqrt, corr.ris_corr_sqrt
-    link = (root_ris * v) @ root_ris.T
-    lam = (corr.beta_ar * np.linalg.norm(root_bs.T @ w) ** 2
-           * np.linalg.svd(link, compute_uv=False) ** 2)
-    direct = np.linalg.norm(root_bs @ w)
-    x_d = np.sqrt(corr.beta_ab) * direct
-    # Eve's weights on ||u|| s_b and D d, and her fresh variance as
-    # fresh_u ||u||^2 + fresh_0
-    rho = corr.rho_eve
-    eve_cascade = rho * np.sqrt(corr.beta_re)
-    eve_direct = rho * np.sqrt(corr.beta_ae)
-    mix_sq = np.clip(1.0 - rho ** 2, 0.0, None)
-    fresh_u = mix_sq * corr.beta_re
-    fresh_0 = mix_sq * corr.beta_ae * direct ** 2 + sig2
-    cascade_on = lam.any()
+    single = w.ndim == 1
+    ws, vs = w.reshape(-1, w.shape[-1]), v.reshape(-1, v.shape[-1])
+    corrs = [corr] if single else list(corr)
+    if not len(corrs) == len(ws) == len(vs):
+        raise ValueError("corr, w and v must give the same number of points")
+    if len({(c.n_ris, c.n_eve) for c in corrs}) > 1:
+        raise ValueError("the points must share N and K: they share the "
+                         "draws")
+    points = [_probe_point(*args) for args in zip(corrs, ws, vs)]
+    n_eve = corrs[0].n_eve
     exp_rng, leg_rng, eve_rng = rng.spawn(3)
 
-    out_a = np.empty(rounds, dtype=complex)
-    out_b = np.empty(rounds, dtype=complex)
-    out_e = np.empty((rounds, corr.n_eve), dtype=complex) if eve else None
+    # first each point's ||u||^2 over all rounds (none with its surface
+    # off), from one chunk of exponentials at a time, each dropped before
+    # the next is drawn and before the outputs are made
+    u_sqs = [np.empty(rounds) if pt.lam.any() else None for pt in points]
+    if any(u_sq is not None for u_sq in u_sqs):
+        for start in range(0, rounds, chunk):
+            sl = slice(start, min(start + chunk, rounds))
+            exps = exp_rng.standard_exponential((sl.stop - start,
+                                                 corrs[0].n_ris))
+            for u_sq, pt in zip(u_sqs, points):
+                if u_sq is not None:
+                    u_sq[sl] = exps @ pt.lam
+            del exps
+
+    out_a = np.empty((len(points), rounds), dtype=complex)
+    out_b = np.empty((len(points), rounds), dtype=complex)
+    out_e = (np.empty((len(points), rounds, n_eve), dtype=complex) if eve
+             else None)
     for start in range(0, rounds, chunk):
         sl = slice(start, min(start + chunk, rounds))
         b = sl.stop - start
-        u_sq = (exp_rng.standard_exponential((b, lam.size)) @ lam
-                if cascade_on else 0.0)
-        g = corr.beta_rb * u_sq + x_d * x_d
-        tot = g + sig2
-        root_tot = np.sqrt(tot)
         z_1, z_2 = _cn(leg_rng, b, 2).T
-        bob = out_b[sl] = root_tot * z_1
-        alice = out_a[sl] = (np.sqrt(pb) * g / root_tot * z_1
-                             + np.sqrt(sig2 * w_sq + pb * g * sig2 / tot)
-                             * z_2)
-        if eve:
+        z = _cn(eve_rng, b, 2 + n_eve) if eve else None
+        for p, (pt, row) in enumerate(zip(points, u_sqs)):
+            u_sq = 0.0 if row is None else row[sl]
+            sig2, pb, w_sq, x_d = pt.sig2, pt.pb, pt.w_sq, pt.x_d
+            g = pt.beta_rb * u_sq + x_d * x_d
+            tot = g + sig2
+            root_tot = np.sqrt(tot)
+            bob = out_b[p, sl] = root_tot * z_1
+            alice = out_a[p, sl] = (np.sqrt(pb) * g / root_tot * z_1
+                                    + np.sqrt(sig2 * w_sq + pb * g * sig2
+                                              / tot) * z_2)
+            if not eve:
+                continue
             norm_u = np.sqrt(u_sq)
-            x_b = np.sqrt(corr.beta_rb) * norm_u
-            z = _cn(eve_rng, b, 2 + corr.n_eve)
+            x_b = np.sqrt(pt.beta_rb) * norm_u
             den = sig2 * w_sq + g * (w_sq + pb)
             shrink = (w_sq + pb) / (1.0 + np.sqrt(sig2 * w_sq / den))
             # kappa - t x^T z, the shift of y's two fresh scalars along x
             shift = (w_sq * bob + np.sqrt(pb) * alice
                      - shrink * (x_b * z[:, 0] + x_d * z[:, 1])) / den
             cascade = norm_u * (z[:, 0] + x_b * shift)     # ||u|| s_b
-            direct_d = direct * (z[:, 1] + x_d * shift)    # D d
+            direct_d = pt.direct * (z[:, 1] + x_d * shift)  # D d
             # built in place in the output rows: no (b, K) temporary sums
-            e = out_e[sl]
-            np.multiply(np.sqrt(np.reshape(u_sq, (-1, 1)) * fresh_u
-                                + fresh_0), z[:, 2:], out=e)
-            e += cascade[:, None] * eve_cascade
-            e += direct_d[:, None] * eve_direct
+            e = out_e[p, sl]
+            np.multiply(np.sqrt(np.reshape(u_sq, (-1, 1)) * pt.fresh_u
+                                + pt.fresh_0), z[:, 2:], out=e)
+            e += cascade[:, None] * pt.eve_cascade
+            e += direct_d[:, None] * pt.eve_direct
+    if single:
+        return out_a[0], out_b[0], None if out_e is None else out_e[0]
     return out_a, out_b, out_e

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import collections
 import csv
-import itertools
 import json
 import math
 import os
@@ -144,22 +143,31 @@ def runs_test(bits):
 # experiment plumbing
 
 
-def _fmt(value):
+def _spec(value):
+    """How a cell of ``value``'s type is written: an integer in full, a
+    float to 12 significant digits, anything else as ``str`` writes it."""
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return "%d"
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
+        return "%.12g"
+    return "%s"
+
+
+def _fmt(value):
+    return _spec(value) % (value,)
 
 
 def _write_csv(path, columns, rows, schema_name, schema_version, experiment):
+    """Two comment lines, then the header and the rows as ``csv.writer``
+    writes them (``\r\n`` row ends), in one write.  Every row is typed like
+    the first, and no cell needs quoting: the harness writes numbers and
+    the names of experiments and methods."""
+    line = ",".join(map(_spec, rows[0])) + "\r\n" if rows else ""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {schema_name}-schema={schema_version}\n")
-        fh.write(f"# experiment={experiment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        fh.write(f"# {schema_name}-schema={schema_version}\n"
+                 f"# experiment={experiment}\n"
+                 + ",".join(columns) + "\r\n"
+                 + "".join([line % row for row in rows]))
 
 
 def read_csv_rows(path):
@@ -181,8 +189,7 @@ def _write_manifest(out_dir, experiment, cfg, files):
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -231,21 +238,26 @@ def _sweep_configs(cfg, experiment):
     return [(sweep_value(x), spec.point(cfg, x)) for x in values]
 
 
-def _probe_record(corr, w, v, seeds, rounds):
-    """Simulate the full probing exchange and return the bit disagreement
-    rate between the legitimate sequences plus randomness p-values and
-    length of the user's bits; ConfigError if an observation is not
-    finite."""
+def _probe_records(corrs, w, v, seeds, rounds):
+    """Probe one trial's designs at every sweep point, stacked as in
+    ``simulate_probing``, from one set of draws, and return each point's
+    record: the bit disagreement rate between the legitimate sequences,
+    the randomness p-values and the length of the user's bits.
+    ConfigError if an observation is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         obs_a, obs_b, _ = simulate_probing(
-            corr, w, v, np.random.default_rng(seeds + [1]), rounds, eve=False)
+            corrs, w, v, np.random.default_rng(seeds), rounds, eve=False)
     if not (np.isfinite(obs_a).all() and np.isfinite(obs_b).all()):
         raise ConfigError("probe observations are not finite: a gain or "
                           "power overflows")
-    bits_a = quantize_median_bits(np.abs(obs_a))
-    bits_b = quantize_median_bits(np.abs(obs_b))
-    return (bit_disagreement(bits_a, bits_b), frequency_test(bits_b),
-            runs_test(bits_b), bits_b.size)
+    records = []
+    for alice, bob in zip(obs_a, obs_b):
+        bits_a = quantize_median_bits(np.abs(alice))
+        bits_b = quantize_median_bits(np.abs(bob))
+        records.append((bit_disagreement(bits_a, bits_b),
+                        frequency_test(bits_b), runs_test(bits_b),
+                        bits_b.size))
+    return records
 
 
 def _timed(fn, *args):
@@ -288,89 +300,120 @@ def _design_seeds(sub, si, method):
     not its position, so its rows do not depend on which other methods run.
     The trailing 2 keeps it apart from Eve's ``[seed, trial]``, which
     SeedSequence pads with zeros to four words, and from a probe's
-    ``[seed, trial, si, mi, 1]``."""
+    ``[seed, trial, *method name bytes, 1]``."""
     return [sub.seed, si, *method.encode(), 2]
 
 
-def _run_sweep(cfg, experiment):
-    """Common driver: per sweep value, make the point's designs in one call
-    per method, draw each trial's scenario, and record what the experiment
-    measures of each design on each draw.  Every sweep point's config is
-    built, and so checked, before the first trial runs.  A design reads no
-    draw's eavesdropper, so each method sees the point's first draw, and a
-    timing row's design time is the method's call time divided by
-    ``trials``.
+def _designs(sub, si, first):
+    """A sweep point's designs from its first draw, one call per method:
+    each method's (w, v) stacks, one row per trial, and its call time in
+    milliseconds divided by ``trials``.  A design reads no draw's
+    eavesdropper, so any draw of the point would give the same rows."""
+    out = []
+    for method in sub.methods:
+        (w, v), ms = _timed(DESIGN_METHODS[method], first,
+                            _design_seeds(sub, si, method), sub.trials)
+        out.append((w, v, ms / sub.trials))
+    return out
 
-    A probing experiment probes each design on a pool of one thread per CPU
-    the process may use.  Draws and designs stay on this thread, in row
-    order, and each probe draws from its own streams, so the rows do not
-    depend on the thread count; they are collected in submission order,
-    with at most ``_IN_FLIGHT_PER_WORKER`` probes per thread pending, and
-    a draw is built when its probes are submitted.
-    A timing row is the design's time plus its probe's own wall time, so
-    rows overlap and their sum can exceed the run's.  The pool is joined
-    before this returns or raises.
 
-    The key-rate experiments rate a sweep point's designs together, in one
-    ``min_kgr_bits`` call after its last draw, and a timing row covers the
-    design alone; a rate that is not finite raises ConfigError."""
-    probes = EXPERIMENTS[experiment].probes
-    points = _sweep_configs(cfg, experiment)
+def _rate_sweep(experiment, points):
+    """Rows and timing rows of a key-rate experiment.  Per sweep point:
+    make its designs, draw each trial's scenario, then rate every design
+    on every draw in one ``min_kgr_bits`` call after its last draw; a
+    timing row covers the design alone.  A rate that is not finite raises
+    ConfigError."""
     rows, timings = [], []
+    for si, (sval, sub) in enumerate(points):
+        first = _draw(sub, 0)
+        designs = _designs(sub, si, first)
+        draws = [first, *(_draw(sub, trial)
+                          for trial in range(1, sub.trials))]
+        with np.errstate(all="ignore"):
+            rates = min_kgr_bits(_stack_draws(draws),
+                                 np.stack([w for w, _, _ in designs], axis=1),
+                                 np.stack([v for _, v, _ in designs], axis=1))
+        if not np.isfinite(rates).all():
+            raise ConfigError(
+                f"key rates at sweep value {_fmt(sval)} are not "
+                "finite: a gain or power overflows")
+        for trial in range(sub.trials):
+            for method, (_, _, design_ms), rate in zip(
+                    sub.methods, designs, rates[trial]):
+                head = (experiment, sval, trial, method)
+                rows.append((*head, rate, sub.seed))
+                timings.append((*head, design_ms))
+    return rows, timings
+
+
+def _probe_sweep(experiment, points):
+    """Rows and timing rows of a probing experiment.  Every point's
+    designs are made first, each from the point's first draw.  Then each
+    trial is drawn once per point, and each method probes its designs at
+    all the points in one task, ``_probe_records``, from its own streams
+    ``[seed, trial, *method name bytes, 1]``: a trial's points share
+    common random numbers, and every row keeps its own law.  The points
+    share the sweep's trials, methods and probe rounds.
+
+    Tasks run on a pool of one thread per CPU the process may use.  Draws
+    and designs stay on this thread, and each task draws from its own
+    streams, so the rows do not depend on the thread count.  Tasks are
+    collected in submission order, with at most ``_IN_FLIGHT_PER_WORKER``
+    per thread pending; a trial is drawn when its tasks are submitted.
+    Rows come out in (point, trial, method) order.  A timing row is the
+    design's time plus its task's own wall time divided by the number of
+    points, so rows overlap and their sum can exceed the run's.  The pool
+    is joined before this returns or raises."""
+    _, base = points[0]
+    firsts = [_draw(sub, 0) for _, sub in points]
+    designs = [_designs(sub, si, first)
+               for si, ((_, sub), first) in enumerate(zip(points, firsts))]
+    rows = [[] for _ in points]
+    timings = [[] for _ in points]
     workers = _cpu_count()
-    in_flight = _IN_FLIGHT_PER_WORKER * workers
-    pending = collections.deque()   # (row head, seed, design ms, future)
+    pending = collections.deque()   # (trial, method index, future)
 
     def collect():
-        head, seed, design_ms, future = pending.popleft()
-        record, probe_ms = future.result()
-        rows.append((*head, *record, seed))
-        timings.append((*head, design_ms + probe_ms))
+        trial, mi, future = pending.popleft()
+        records, task_ms = future.result()
+        for si, ((sval, sub), record) in enumerate(zip(points, records)):
+            head = (experiment, sval, trial, sub.methods[mi])
+            rows[si].append((*head, *record, sub.seed))
+            timings[si].append((*head,
+                                designs[si][mi][2] + task_ms / len(points)))
 
     pool = ThreadPoolExecutor(workers)
     try:
-        for si, (sval, sub) in enumerate(points):
-            first = _draw(sub, 0)
-            ws, vs, design_ms = [], [], []
-            for method in sub.methods:
-                (w, v), ms = _timed(DESIGN_METHODS[method], first,
-                                    _design_seeds(sub, si, method),
-                                    sub.trials)
-                ws.append(w)
-                vs.append(v)
-                design_ms.append(ms / sub.trials)
-            later = (_draw(sub, trial) for trial in range(1, sub.trials))
-            draws = itertools.chain([first], later)
-            if probes:
-                for trial, corr in enumerate(draws):
-                    for mi, method in enumerate(sub.methods):
-                        future = pool.submit(
-                            _timed, _probe_record, corr, ws[mi][trial],
-                            vs[mi][trial], [sub.seed, trial, si, mi],
-                            sub.probe_rounds)
-                        pending.append(((experiment, sval, trial, method),
-                                        sub.seed, design_ms[mi], future))
-                        if len(pending) == in_flight:
-                            collect()
-                continue
-            with np.errstate(all="ignore"):
-                rates = min_kgr_bits(_stack_draws(list(draws)),
-                                     np.stack(ws, axis=1),
-                                     np.stack(vs, axis=1))
-            if not np.isfinite(rates).all():
-                raise ConfigError(
-                    f"key rates at sweep value {_fmt(sval)} are not "
-                    "finite: a gain or power overflows")
-            for trial in range(sub.trials):
-                for mi, method in enumerate(sub.methods):
-                    head = (experiment, sval, trial, method)
-                    rows.append((*head, rates[trial, mi], sub.seed))
-                    timings.append((*head, design_ms[mi]))
+        for trial in range(base.trials):
+            draws = firsts if trial == 0 else [_draw(sub, trial)
+                                              for _, sub in points]
+            for mi, method in enumerate(base.methods):
+                future = pool.submit(
+                    _timed, _probe_records, draws,
+                    np.stack([point[mi][0][trial] for point in designs]),
+                    np.stack([point[mi][1][trial] for point in designs]),
+                    [base.seed, trial, *method.encode(), 1],
+                    base.probe_rounds)
+                pending.append((trial, mi, future))
+                if len(pending) == _IN_FLIGHT_PER_WORKER * workers:
+                    collect()
         while pending:
             collect()
     finally:
         pool.shutdown(cancel_futures=True)
-    return rows, timings
+    return [row for point in rows for row in point], [
+        row for point in timings for row in point]
+
+
+def _run_sweep(cfg, experiment):
+    """Common driver: the rows and timing rows of one experiment over its
+    sweep.  Every sweep point's config is built, and so checked, before
+    the first trial runs; a sweep point makes each method's designs for
+    all its trials in one call, so a timing row's design time is the
+    method's call time divided by ``trials``."""
+    points = _sweep_configs(cfg, experiment)
+    sweep = _probe_sweep if EXPERIMENTS[experiment].probes else _rate_sweep
+    return sweep(experiment, points)
 
 
 def run_experiment(experiment, cfg, out_dir):

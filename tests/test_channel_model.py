@@ -611,3 +611,88 @@ def test_simulate_probing_matches_channel_draws_in_law():
     want, have = bdr(ref[0], ref[1]), bdr(got[0], got[1])
     se = np.sqrt(want * (1.0 - want) * 2.0 / rounds)
     assert abs(have - want) <= 4.0 * se
+
+
+def _power_points(corr, w, scales):
+    """The set and combiner of ``corr`` and ``w`` at each power scale:
+    both ends' powers times the scale, and w times its square root."""
+    return ([replace(corr, power_alice=c * corr.power_alice,
+                     power_bob=c * corr.power_bob) for c in scales],
+            np.stack([np.sqrt(c) * w for c in scales]))
+
+
+@pytest.mark.parametrize("eve", [False, True])
+def test_stacked_probe_equals_its_single_design_probes(eve):
+    # point p of a stacked call is the call on its own design and set, bit
+    # for bit, whatever the chunk; the third point has the surface off, so
+    # it reads none of the exponentials the others share
+    rng = np.random.default_rng(37)
+    corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
+    w = oracles.random_combiner(rng, corr)
+    corrs, ws = _power_points(corr, w, (1.0, 10.0, 0.1))
+    vs = np.stack([oracles.random_reflect(rng, corr),
+                   oracles.random_reflect(rng, corr),
+                   np.zeros(corr.n_ris, dtype=complex)])
+    for points in (2, 3):
+        for chunk in (64, 7, 300, 1000):
+            got = cm.simulate_probing(corrs[:points], ws[:points],
+                                      vs[:points], np.random.default_rng(5),
+                                      300, chunk=chunk, eve=eve)
+            assert got[0].shape == got[1].shape == (points, 300)
+            for p in range(points):
+                alone = cm.simulate_probing(corrs[p], ws[p], vs[p],
+                                            np.random.default_rng(5), 300,
+                                            chunk=chunk, eve=eve)
+                assert np.array_equal(got[0][p], alone[0])
+                assert np.array_equal(got[1][p], alone[1])
+                if eve:
+                    assert got[2].shape == (points, 300, corr.n_eve)
+                    assert np.array_equal(got[2][p], alone[2])
+                else:
+                    assert got[2] is None and alone[2] is None
+
+
+def test_stacked_probe_rejects_points_that_cannot_share_draws():
+    rng = np.random.default_rng(38)
+    corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
+    w = oracles.random_combiner(rng, corr)
+    v = oracles.random_reflect(rng, corr)
+    more_eve = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=3)
+    with pytest.raises(ValueError, match="share N and K"):
+        cm.simulate_probing([corr, more_eve], [w, w], [v, v],
+                            np.random.default_rng(0), 10)
+    with pytest.raises(ValueError, match="same number of points"):
+        cm.simulate_probing([corr], [w, w], [v, v],
+                            np.random.default_rng(0), 10)
+
+
+def test_stacked_probe_matches_channel_draws_in_law_at_two_powers():
+    """Each point of a stacked call keeps the law of full channel draws at
+    its own power, although the points share their draws."""
+    rng = np.random.default_rng(44)
+    corr = oracles.random_corr(rng, n_bs=3, n_ris=4, n_eve=2)
+    corr.beta_ab = 0.02
+    corr.noise_power = 0.2
+    w = oracles.random_combiner(rng, corr, full_power=True)
+    v = oracles.random_reflect(rng, corr, unit_modulus=True)
+    corrs, ws = _power_points(corr, w, (1.0, 10.0))
+    rounds = 4000
+    got = cm.simulate_probing(corrs, ws, np.stack([v, v]),
+                              np.random.default_rng(45), rounds)
+    for p, (corr_p, w_p) in enumerate(zip(corrs, ws)):
+        ref = _probing_from_channel_draws(corr_p, w_p, v,
+                                          np.random.default_rng(46 + p),
+                                          rounds)
+        have = [x[p] for x in got]
+        for want_law, have_law in zip(
+                (np.abs(ref[0]), np.abs(ref[1]), np.abs(ref[2][:, 0]),
+                 np.abs(ref[0]) * np.abs(ref[1])),
+                (np.abs(have[0]), np.abs(have[1]), np.abs(have[2][:, 0]),
+                 np.abs(have[0]) * np.abs(have[1]))):
+            assert ks_2samp(want_law, have_law).pvalue > 1e-3, p
+        want = bit_disagreement(quantize_median_bits(np.abs(ref[0])),
+                                quantize_median_bits(np.abs(ref[1])))
+        bdr = bit_disagreement(quantize_median_bits(np.abs(have[0])),
+                               quantize_median_bits(np.abs(have[1])))
+        se = np.sqrt(want * (1.0 - want) * 2.0 / rounds)
+        assert abs(bdr - want) <= 4.0 * se, p

@@ -2,6 +2,8 @@
 
 import argparse
 import collections
+import csv
+import io
 import itertools
 import json
 import os
@@ -215,6 +217,36 @@ def test_design_sweep_artifacts(tmp_path):
     assert not any("time" in key for key in manifest)
 
 
+def test_csv_writer_writes_what_csv_writer_writes(tmp_path):
+    # the one-write CSV writer against csv.writer with a per-cell format
+    # (an integer in full, a float to 12 significant digits, anything
+    # else as str), on the result and timing rows of every experiment
+    def cell(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".12g")
+        return str(value)
+
+    cfg = _tiny_cfg(trials=2, methods=tuple(hn.DESIGN_METHODS))
+    for experiment in hn.EXPERIMENTS:
+        rows, timings = hn._run_sweep(cfg, experiment)
+        columns = (hn.BDR_COLUMNS if hn.EXPERIMENTS[experiment].probes
+                   else hn.RESULT_COLUMNS)
+        for name, columns, table in (("rows", columns, rows),
+                                     ("timings", hn.TIMING_COLUMNS, timings)):
+            path = tmp_path / f"{experiment}_{name}.csv"
+            hn._write_csv(path, columns, table, name, 3, experiment)
+            want = io.StringIO(newline="")
+            want.write(f"# {name}-schema=3\n# experiment={experiment}\n")
+            writer = csv.writer(want)
+            writer.writerow(columns)
+            for row in table:
+                writer.writerow([cell(x) for x in row])
+            assert path.read_bytes() == want.getvalue().encode(), (
+                experiment, name)
+
+
 def test_results_are_byte_deterministic(tmp_path):
     cfg = _tiny_cfg()
     a = hn.run_experiment("kgr_vs_m", cfg, str(tmp_path / "a"))
@@ -340,6 +372,26 @@ def test_sweep_decomposes_each_correlation_matrix_once(tmp_path, monkeypatch):
         assert len(calls) == 2 * len(points), experiment
 
 
+def test_a_long_probing_sweep_decomposes_each_point_once(tmp_path,
+                                                        monkeypatch):
+    # a probing sweep draws each trial at every point in turn, so a sweep
+    # longer than a small memo would decompose its matrices at every draw
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    powers = tuple(float(p) for p in range(0, 45, 5))
+    cfg = _tiny_cfg(trials=3, probe_rounds=50, methods=("no_ris",),
+                    sweep_power_dbm=powers)
+    cm._shared_draw.cache_clear()
+    hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
+    assert len(calls) == 2 * len(powers)
+
+
 def test_batched_rates_equal_per_call_rates(tmp_path):
     # a sweep point rates all its designs in one min_kgr_bits call; each
     # row must be what the call on that one draw and design returns
@@ -404,32 +456,51 @@ def test_eve_design_and_probe_streams_are_distinct(tmp_path, monkeypatch,
     monkeypatch.setattr(np.random, "default_rng", recorded)
     cfg = _tiny_cfg(trials=3, methods=methods)
     hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
-    # Eve's draw of a trial is the same at every point; a probe per (point,
-    # trial, method), and at most one design stream per (point, method)
+    # Eve's draw of a trial is the same at every point; a probe per (trial,
+    # method), and at most one design stream per (point, method)
     streams = {tuple(seed) for seed in seeds}
-    points = len(cfg.sweep_power_dbm)
-    assert len(streams) >= cfg.trials * (1 + points * len(methods))
+    assert len(streams) >= cfg.trials * (1 + len(methods))
     first = {real(list(seed)).bit_generator.random_raw(4).tobytes()
              for seed in streams}
     assert len(first) == len(streams)
 
 
 def test_a_method_rows_do_not_depend_on_the_other_methods(tmp_path):
-    # each method's result rows are the same bytes whichever other methods
-    # run beside it, and in whatever order
-    def rows_by_method(methods, name):
-        info = hn.run_experiment("kgr_vs_power", _tiny_cfg(
-            trials=3, methods=methods), str(tmp_path / name))
+    # each method's result and bdr rows are the same bytes whichever other
+    # methods run beside it, and in whatever order
+    def rows_by_method(experiment, methods, name):
+        info = hn.run_experiment(experiment, _tiny_cfg(
+            trials=3, methods=methods), str(tmp_path / experiment / name))
         out = collections.defaultdict(list)
         for row in hn.read_csv_rows(info["results"]):
             out[row["method"]].append(row)
         return out
 
     every = tuple(hn.DESIGN_METHODS)
-    together = rows_by_method(every, "all")
-    assert rows_by_method(every[::-1], "reversed") == together
-    for method in every:
-        assert rows_by_method((method,), method)[method] == together[method]
+    for experiment in ("kgr_vs_power", "bdr_vs_power"):
+        together = rows_by_method(experiment, every, "all")
+        assert rows_by_method(experiment, every[::-1], "reversed") == together
+        for method in every:
+            alone = rows_by_method(experiment, (method,), method)
+            assert alone[method] == together[method], (experiment, method)
+
+
+def test_a_probed_row_does_not_depend_on_the_other_powers(tmp_path):
+    # a trial's probes share their draws across the sweep, and each point
+    # keeps its own law: the 20 dBm rows of the deterministic designs are
+    # the same bytes whether the sweep has other points or not (a
+    # stochastic design's stream is keyed on the sweep index)
+    def rows_at_20(powers):
+        cfg = _tiny_cfg(trials=3, methods=("optimized", "no_ris"),
+                        sweep_power_dbm=powers)
+        info = hn.run_experiment("bdr_vs_power", cfg,
+                                 str(tmp_path / str(len(powers))))
+        return [row for row in hn.read_csv_rows(info["results"])
+                if row["sweep_value"] == "20"]
+
+    alone = rows_at_20((20.0,))
+    assert len(alone) == 6
+    assert rows_at_20((10.0, 20.0, 30.0)) == alone
 
 
 def test_each_method_gives_the_same_rows_on_every_draw():
@@ -464,19 +535,27 @@ def test_probe_pool_keeps_the_rows(tmp_path, monkeypatch, workers):
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
 
-    want = []
-    for si, (sval, sub) in enumerate(hn._sweep_configs(cfg, "bdr_vs_power")):
-        draws = _draws(sub)
-        designs = [hn.DESIGN_METHODS[method](
-            draws[0], hn._design_seeds(sub, si, method), sub.trials)
-            for method in sub.methods]
-        for trial, corr in enumerate(draws):
-            for mi, (method, (w, v)) in enumerate(zip(sub.methods, designs)):
-                seeds = [sub.seed, trial, si, mi]
-                want.append(("bdr_vs_power", sval, trial, method,
-                             *hn._probe_record(corr, w[trial], v[trial],
-                                               seeds, sub.probe_rounds),
-                             sub.seed))
+    # the serial reference: one task per (trial, method), probing the
+    # method's designs at every point, and rows in (point, trial, method)
+    # order
+    points = hn._sweep_configs(cfg, "bdr_vs_power")
+    draws = [_draws(sub) for _, sub in points]
+    designs = [[hn.DESIGN_METHODS[method](
+        draws[si][0], hn._design_seeds(sub, si, method), sub.trials)
+        for method in sub.methods] for si, (_, sub) in enumerate(points)]
+    records = {}
+    for trial in range(cfg.trials):
+        for mi, method in enumerate(cfg.methods):
+            records[trial, mi] = hn._probe_records(
+                [point[trial] for point in draws],
+                np.stack([point[mi][0][trial] for point in designs]),
+                np.stack([point[mi][1][trial] for point in designs]),
+                [cfg.seed, trial, *method.encode(), 1], cfg.probe_rounds)
+    want = [("bdr_vs_power", sval, trial, method,
+             *records[trial, mi][si], sub.seed)
+            for si, (sval, sub) in enumerate(points)
+            for trial in range(sub.trials)
+            for mi, method in enumerate(sub.methods)]
     assert len(want) == 2 * 2 * 3
     assert raw == want
     assert [row[:4] for row in timings] == [row[:4] for row in want]
@@ -506,9 +585,10 @@ def test_a_failing_probe_reaches_the_caller_and_writes_nothing(
 
 
 def test_probes_in_flight_stay_bounded(tmp_path, monkeypatch):
-    # probes submitted minus probes finished, taken at each submission,
-    # stays within two per worker thread; each probe also sleeps 1 ms,
-    # which its timing row must include
+    # one task per (trial, method) probes all the sweep's points; tasks
+    # submitted minus tasks finished, taken at each submission, stays
+    # within two per worker thread; each task also sleeps 1 ms per point,
+    # and each of its rows must include that point's share
     workers = 2
     monkeypatch.setattr(hn, "_cpu_count", lambda: workers)
     submitted, finished, gaps = [], [], []
@@ -520,18 +600,19 @@ def test_probes_in_flight_stay_bounded(tmp_path, monkeypatch):
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(hn, "ThreadPoolExecutor", CountedPool)
-    real = hn._probe_record
+    real = hn._probe_records
 
     def counted_probe(*args):
         out = real(*args)
-        time.sleep(1e-3)
+        time.sleep(1e-3 * len(out))
         finished.append(1)
         return out
 
-    monkeypatch.setattr(hn, "_probe_record", counted_probe)
+    monkeypatch.setattr(hn, "_probe_records", counted_probe)
     cfg = _tiny_cfg(trials=10, methods=("optimized", "random", "no_ris"))
     info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
-    assert len(submitted) == len(finished) == info["rows"] == 2 * 10 * 3
+    assert len(submitted) == len(finished) == 10 * 3
+    assert info["rows"] == 2 * 10 * 3
     assert max(gaps) <= 2 * workers
     assert all(float(r["milliseconds"]) >= 1.0
                for r in hn.read_csv_rows(info["timings"]))
