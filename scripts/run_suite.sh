@@ -5,11 +5,11 @@
 #
 # Artifacts land under OUT/<experiment>/ (default runs/PRESET); the options
 # go to every run, e.g. --config configs/desk_quick.cfg.  On a 2-core box
-# with one BLAS thread, the desk suite takes 3.1-3.4 s, 1.6-1.7 s of it in
+# with one BLAS thread, the desk suite takes 3.0-3.3 s, 1.6-2.1 s of it in
 # bdr_vs_power.  The paper suite (1000 trials per sweep point at the
-# largest array sizes) takes about 30 s: bdr_vs_power took 22.6-27.1 s (it
-# probes on one thread per CPU in the affinity mask) and each key-rate
-# experiment 0.56-1.24 s.  Run the desk suite first to check the setup.
+# largest array sizes) takes about 32 s: bdr_vs_power took 27.0-30.0 s (it
+# probes one task at a time, on one thread) and each key-rate experiment
+# 0.56-1.24 s.  Run the desk suite first to check the setup.
 set -e
 
 preset="${1:?usage: scripts/run_suite.sh PRESET [OUT] [ris-skg options...]}"

@@ -2,10 +2,18 @@
 
 Every experiment produces a results file with a fixed schema plus a
 sidecar with wall-clock timings and a JSON manifest describing the
-resolved configuration.  All randomness is derived from the config seed,
-the trial index, and the sweep/method positions, so two runs of the same
-experiment with the same config produce byte-identical result files
-(timings are kept out of the results file for exactly that reason).
+resolved configuration.  All randomness is derived from the config seed
+through three families of streams:
+
+- a trial's eavesdropper, ``[seed, trial]``;
+- a method's designs at a sweep point, ``[seed, sweep index, *method name
+  bytes, 2]``;
+- a method's probe of a trial, ``[seed, trial, *method name bytes, 1]``.
+
+So two runs of the same experiment with the same config produce
+byte-identical result files (timings are kept out of the results file for
+exactly that reason), and a method's rows do not depend on which other
+methods run.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -267,20 +274,6 @@ def _timed(fn, *args):
     return out, (time.perf_counter() - t0) * 1e3
 
 
-def _cpu_count():
-    """CPUs this process may run on: its affinity mask where the platform
-    has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# probes submitted but not yet collected, per worker thread; bounds the
-# draws and results held at once however many trials run
-_IN_FLIGHT_PER_WORKER = 2
-
-
 def _stack_draws(draws):
     """One CorrelationSet carrying every draw's per-antenna arrays, shaped
     (antenna, draw, 1) so that they broadcast against (draw, method)
@@ -355,52 +348,30 @@ def _probe_sweep(experiment, points):
     common random numbers, and every row keeps its own law.  The points
     share the sweep's trials, methods and probe rounds.
 
-    Tasks run on a pool of one thread per CPU the process may use.  Draws
-    and designs stay on this thread, and each task draws from its own
-    streams, so the rows do not depend on the thread count.  Tasks are
-    collected in submission order, with at most ``_IN_FLIGHT_PER_WORKER``
-    per thread pending; a trial is drawn when its tasks are submitted.
-    Rows come out in (point, trial, method) order.  A timing row is the
-    design's time plus its task's own wall time divided by the number of
-    points, so rows overlap and their sum can exceed the run's.  The pool
-    is joined before this returns or raises."""
+    Tasks run one at a time on this thread, in (trial, method) order, and
+    a trial is drawn just before its tasks.  Rows come out in (point,
+    trial, method) order.  A timing row is the design's time plus its
+    task's own wall time divided by the number of points."""
     _, base = points[0]
     firsts = [_draw(sub, 0) for _, sub in points]
     designs = [_designs(sub, si, first)
                for si, ((_, sub), first) in enumerate(zip(points, firsts))]
     rows = [[] for _ in points]
     timings = [[] for _ in points]
-    workers = _cpu_count()
-    pending = collections.deque()   # (trial, method index, future)
-
-    def collect():
-        trial, mi, future = pending.popleft()
-        records, task_ms = future.result()
-        for si, ((sval, sub), record) in enumerate(zip(points, records)):
-            head = (experiment, sval, trial, sub.methods[mi])
-            rows[si].append((*head, *record, sub.seed))
-            timings[si].append((*head,
-                                designs[si][mi][2] + task_ms / len(points)))
-
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for trial in range(base.trials):
-            draws = firsts if trial == 0 else [_draw(sub, trial)
-                                              for _, sub in points]
-            for mi, method in enumerate(base.methods):
-                future = pool.submit(
-                    _timed, _probe_records, draws,
-                    np.stack([point[mi][0][trial] for point in designs]),
-                    np.stack([point[mi][1][trial] for point in designs]),
-                    [base.seed, trial, *method.encode(), 1],
-                    base.probe_rounds)
-                pending.append((trial, mi, future))
-                if len(pending) == _IN_FLIGHT_PER_WORKER * workers:
-                    collect()
-        while pending:
-            collect()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    for trial in range(base.trials):
+        draws = firsts if trial == 0 else [_draw(sub, trial)
+                                          for _, sub in points]
+        for mi, method in enumerate(base.methods):
+            records, task_ms = _timed(
+                _probe_records, draws,
+                np.stack([point[mi][0][trial] for point in designs]),
+                np.stack([point[mi][1][trial] for point in designs]),
+                [base.seed, trial, *method.encode(), 1], base.probe_rounds)
+            share_ms = task_ms / len(points)
+            for si, ((sval, sub), record) in enumerate(zip(points, records)):
+                head = (experiment, sval, trial, method)
+                rows[si].append((*head, *record, sub.seed))
+                timings[si].append((*head, designs[si][mi][2] + share_ms))
     return [row for point in rows for row in point], [
         row for point in timings for row in point]
 

@@ -13,7 +13,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -517,27 +516,16 @@ def test_each_method_gives_the_same_rows_on_every_draw():
                 assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_probe_pool_keeps_the_rows(tmp_path, monkeypatch, workers):
-    # the pool's rows are the serial loop's, in its order, whatever the
-    # thread count, and no thread outlives the run; a short switch
-    # interval makes the threads interleave often
-    monkeypatch.setattr(hn, "_cpu_count", lambda: workers)
+@pytest.mark.parametrize("trials", [1, 3])
+def test_probe_pool_keeps_the_rows(tmp_path, trials):
+    # the pool of probe tasks, one per (trial, method) and each probing
+    # the method's designs at every point, gives the sweep's rows in
+    # (point, trial, method) order, whatever the trial count
     cfg = hn.build_config("desk", "sweep_power_dbm = 10, 30\n"
-                          "methods = optimized, random, no_ris", trials=2)
-    threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
-        raw, timings = hn._run_sweep(cfg, "bdr_vs_power")
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
+                          "methods = optimized, random, no_ris", trials=trials)
+    info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
+    raw, timings = hn._run_sweep(cfg, "bdr_vs_power")
 
-    # the serial reference: one task per (trial, method), probing the
-    # method's designs at every point, and rows in (point, trial, method)
-    # order
     points = hn._sweep_configs(cfg, "bdr_vs_power")
     draws = [_draws(sub) for _, sub in points]
     designs = [[hn.DESIGN_METHODS[method](
@@ -556,13 +544,32 @@ def test_probe_pool_keeps_the_rows(tmp_path, monkeypatch, workers):
             for si, (sval, sub) in enumerate(points)
             for trial in range(sub.trials)
             for mi, method in enumerate(sub.methods)]
-    assert len(want) == 2 * 2 * 3
+    assert len(want) == 2 * trials * 3
     assert raw == want
     assert [row[:4] for row in timings] == [row[:4] for row in want]
     assert all(row[4] >= 0 for row in timings)
     rows = hn.read_csv_rows(info["results"])
     assert [list(r.values()) for r in rows] == [[hn._fmt(x) for x in row]
                                                 for row in want]
+
+
+def test_probes_run_on_the_calling_thread(tmp_path, monkeypatch):
+    # every task runs on the thread that called, and the run starts no
+    # thread
+    real = hn._probe_records
+    threads = threading.active_count()
+    seen = []
+
+    def watched_probe(*args):
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     threading.active_count()))
+        return real(*args)
+
+    monkeypatch.setattr(hn, "_probe_records", watched_probe)
+    cfg = _tiny_cfg(trials=3, methods=("optimized", "random", "no_ris"))
+    hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
+    assert seen == [(True, threads)] * (3 * 3)
+    assert threading.active_count() == threads
 
 
 def test_a_failing_probe_reaches_the_caller_and_writes_nothing(
@@ -576,44 +583,27 @@ def test_a_failing_probe_reaches_the_caller_and_writes_nothing(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hn, "simulate_probing", third_fails)
-    monkeypatch.setattr(hn, "_cpu_count", lambda: 2)
-    threads = threading.active_count()
     with pytest.raises(RuntimeError, match="probe 3 failed"):
         hn.run_experiment("bdr_vs_power", _tiny_cfg(trials=4), str(tmp_path))
     assert not (tmp_path / "bdr.csv").exists()
-    assert threading.active_count() == threads
 
 
-def test_probes_in_flight_stay_bounded(tmp_path, monkeypatch):
-    # one task per (trial, method) probes all the sweep's points; tasks
-    # submitted minus tasks finished, taken at each submission, stays
-    # within two per worker thread; each task also sleeps 1 ms per point,
-    # and each of its rows must include that point's share
-    workers = 2
-    monkeypatch.setattr(hn, "_cpu_count", lambda: workers)
-    submitted, finished, gaps = [], [], []
-
-    class CountedPool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(1)
-            gaps.append(len(submitted) - len(finished))
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(hn, "ThreadPoolExecutor", CountedPool)
+def test_each_timing_row_includes_its_share_of_the_probe(tmp_path,
+                                                         monkeypatch):
+    # one task per (trial, method) probes all the sweep's points; each
+    # task also sleeps 1 ms per point, and each of its rows must include
+    # that point's share
     real = hn._probe_records
 
-    def counted_probe(*args):
+    def slow_probe(*args):
         out = real(*args)
         time.sleep(1e-3 * len(out))
-        finished.append(1)
         return out
 
-    monkeypatch.setattr(hn, "_probe_records", counted_probe)
+    monkeypatch.setattr(hn, "_probe_records", slow_probe)
     cfg = _tiny_cfg(trials=10, methods=("optimized", "random", "no_ris"))
     info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
-    assert len(submitted) == len(finished) == 10 * 3
     assert info["rows"] == 2 * 10 * 3
-    assert max(gaps) <= 2 * workers
     assert all(float(r["milliseconds"]) >= 1.0
                for r in hn.read_csv_rows(info["timings"]))
 
