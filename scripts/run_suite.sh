@@ -5,11 +5,13 @@
 #
 # Artifacts land under OUT/<experiment>/ (default runs/PRESET); the options
 # go to every run, e.g. --config configs/desk_quick.cfg.  On a 2-core box
-# with one BLAS thread, the desk suite takes 3.0-3.3 s, 1.6-2.1 s of it in
+# with one BLAS thread, the desk suite takes 3.4-3.6 s, 1.1-1.6 s of it in
 # bdr_vs_power.  The paper suite (1000 trials per sweep point at the
-# largest array sizes) takes about 32 s: bdr_vs_power took 27.0-30.0 s (it
-# probes one task at a time, on one thread) and each key-rate experiment
-# 0.56-1.24 s.  Run the desk suite first to check the setup.
+# largest array sizes) took 25.6 s in one run.  In separate runs
+# bdr_vs_power alone took 24.6-26.8 s (it probes one task per trial, for
+# all its methods and powers, on one thread) and each key-rate experiment
+# 0.56-1.24 s; the spread is the host's.  Run the desk suite first to check
+# the setup.
 set -e
 
 preset="${1:?usage: scripts/run_suite.sh PRESET [OUT] [ris-skg options...]}"

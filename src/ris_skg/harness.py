@@ -8,12 +8,12 @@ through three families of streams:
 - a trial's eavesdropper, ``[seed, trial]``;
 - a method's designs at a sweep point, ``[seed, sweep index, *method name
   bytes, 2]``;
-- a method's probe of a trial, ``[seed, trial, *method name bytes, 1]``.
+- a trial's probe of every method's designs, ``[seed, trial, 1]``.
 
 So two runs of the same experiment with the same config produce
 byte-identical result files (timings are kept out of the results file for
 exactly that reason), and a method's rows do not depend on which other
-methods run.
+methods run; the methods of a trial are probed from the same draws.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def quantize_median_bits(values):
     median = (ordered[mid] if values.size % 2
               else np.mean(ordered[mid - 1:mid + 1]))
     bits = (values > median).astype(np.int8)
-    if values.size > 1 and values.max() == values.min():
+    if values.size > 1 and ordered[0] == ordered[-1]:
         warnings.warn("median quantizer saw a constant sequence; "
                       "emitting all-zero bits", stacklevel=2)
     return bits
@@ -116,12 +116,13 @@ def bit_disagreement(bits_a, bits_b):
 
 
 def frequency_test(bits):
-    """Monobit balance p-value: erfc(|sum(2b-1)| / sqrt(n) / sqrt(2))."""
+    """Monobit balance p-value: erfc(|sum(2b-1)| / sqrt(n) / sqrt(2)),
+    the sum taken as twice the count of ones less n."""
     bits = np.asarray(bits)
     n = bits.size
     if n == 0:
         raise ValueError("empty bit sequence")
-    s = np.sum(2 * bits.astype(np.int64) - 1)
+    s = 2 * np.count_nonzero(bits) - n
     return math.erfc(abs(s) / np.sqrt(n) / np.sqrt(2.0))
 
 
@@ -246,11 +247,12 @@ def _sweep_configs(cfg, experiment):
 
 
 def _probe_records(corrs, w, v, seeds, rounds):
-    """Probe one trial's designs at every sweep point, stacked as in
-    ``simulate_probing``, from one set of draws, and return each point's
+    """Probe a stack of designs, each on its own CorrelationSet as in
+    ``simulate_probing``, from one set of draws, and return each design's
     record: the bit disagreement rate between the legitimate sequences,
-    the randomness p-values and the length of the user's bits.
-    ConfigError if an observation is not finite."""
+    the randomness p-values and the length of the user's bits.  Every
+    design's observations are alive at once: 2 x designs x rounds complex
+    values.  ConfigError if an observation is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         obs_a, obs_b, _ = simulate_probing(
             corrs, w, v, np.random.default_rng(seeds), rounds, eve=False)
@@ -292,8 +294,8 @@ def _design_seeds(sub, si, method):
     """A design method's stream at sweep point ``si``: keyed on its name,
     not its position, so its rows do not depend on which other methods run.
     The trailing 2 keeps it apart from Eve's ``[seed, trial]``, which
-    SeedSequence pads with zeros to four words, and from a probe's
-    ``[seed, trial, *method name bytes, 1]``."""
+    SeedSequence pads with zeros to four words, and from a trial's probe
+    stream ``[seed, trial, 1]``."""
     return [sub.seed, si, *method.encode(), 2]
 
 
@@ -342,36 +344,40 @@ def _rate_sweep(experiment, points):
 def _probe_sweep(experiment, points):
     """Rows and timing rows of a probing experiment.  Every point's
     designs are made first, each from the point's first draw.  Then each
-    trial is drawn once per point, and each method probes its designs at
-    all the points in one task, ``_probe_records``, from its own streams
-    ``[seed, trial, *method name bytes, 1]``: a trial's points share
-    common random numbers, and every row keeps its own law.  The points
-    share the sweep's trials, methods and probe rounds.
+    trial is drawn once per point, and one task, ``_probe_records``,
+    probes every method's designs at every point from the trial's stream
+    ``[seed, trial, 1]``: a trial's rows share common random numbers, and
+    every row keeps its own law.  The points share the sweep's trials,
+    methods and probe rounds.
 
-    Tasks run one at a time on this thread, in (trial, method) order, and
-    a trial is drawn just before its tasks.  Rows come out in (point,
-    trial, method) order.  A timing row is the design's time plus its
-    task's own wall time divided by the number of points."""
+    Tasks run one at a time on this thread, one per trial, and a trial is
+    drawn just before its task; the task's outputs, 2 x points x methods x
+    rounds complex values, are alive at once.  Rows come out in (point,
+    trial, method) order.  A timing row is the design's time plus
+    its task's wall time divided by points x methods."""
     _, base = points[0]
     firsts = [_draw(sub, 0) for _, sub in points]
     designs = [_designs(sub, si, first)
                for si, ((_, sub), first) in enumerate(zip(points, firsts))]
+    stack = [design for point in designs for design in point]
     rows = [[] for _ in points]
     timings = [[] for _ in points]
     for trial in range(base.trials):
         draws = firsts if trial == 0 else [_draw(sub, trial)
                                           for _, sub in points]
-        for mi, method in enumerate(base.methods):
-            records, task_ms = _timed(
-                _probe_records, draws,
-                np.stack([point[mi][0][trial] for point in designs]),
-                np.stack([point[mi][1][trial] for point in designs]),
-                [base.seed, trial, *method.encode(), 1], base.probe_rounds)
-            share_ms = task_ms / len(points)
-            for si, ((sval, sub), record) in enumerate(zip(points, records)):
+        records, task_ms = _timed(
+            _probe_records,
+            [corr for corr in draws for _ in base.methods],
+            np.stack([w[trial] for w, _, _ in stack]),
+            np.stack([v[trial] for _, v, _ in stack]),
+            [base.seed, trial, 1], base.probe_rounds)
+        share_ms = task_ms / len(stack)
+        records = iter(records)
+        for si, (sval, sub) in enumerate(points):
+            for method, (_, _, design_ms) in zip(base.methods, designs[si]):
                 head = (experiment, sval, trial, method)
-                rows[si].append((*head, *record, sub.seed))
-                timings[si].append((*head, designs[si][mi][2] + share_ms))
+                rows[si].append((*head, *next(records), sub.seed))
+                timings[si].append((*head, design_ms + share_ms))
     return [row for point in rows for row in point], [
         row for point in timings for row in point]
 

@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import re
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +80,24 @@ def test_quantizer_warns_on_constant_input():
     with pytest.warns(UserWarning):
         bits = hn.quantize_median_bits([2.0, 2.0, 2.0])
     assert np.array_equal(bits, [0, 0, 0])
+
+
+@pytest.mark.parametrize("size", [1, 2, 999, 1000, 10001])
+def test_quantizer_and_frequency_test_match_their_old_formulas(size):
+    # the frequency test counts ones and the quantizer checks for a
+    # constant sequence at the ends of its sorted copy; the p-value and the
+    # warning are those of the sum of 2b - 1 and of max == min
+    rng = np.random.default_rng(size)
+    for p_one in (0.5, 0.45, 0.0, 1.0):
+        bits = (rng.uniform(size=size) < p_one).astype(np.int8)
+        s = np.sum(2 * bits.astype(np.int64) - 1)
+        assert hn.frequency_test(bits) == math.erfc(
+            abs(s) / np.sqrt(size) / np.sqrt(2.0))
+        constant = size > 1 and bits.max() == bits.min()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            hn.quantize_median_bits(bits.astype(float))
+        assert len(caught) == constant
 
 
 def test_bit_disagreement():
@@ -455,10 +475,10 @@ def test_eve_design_and_probe_streams_are_distinct(tmp_path, monkeypatch,
     monkeypatch.setattr(np.random, "default_rng", recorded)
     cfg = _tiny_cfg(trials=3, methods=methods)
     hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
-    # Eve's draw of a trial is the same at every point; a probe per (trial,
-    # method), and at most one design stream per (point, method)
+    # Eve's draw of a trial is the same at every point; one probe per trial
+    # for all the methods, and at most one design stream per (point, method)
     streams = {tuple(seed) for seed in seeds}
-    assert len(streams) >= cfg.trials * (1 + len(methods))
+    assert len(streams) >= cfg.trials * 2
     first = {real(list(seed)).bit_generator.random_raw(4).tobytes()
              for seed in streams}
     assert len(first) == len(streams)
@@ -516,11 +536,27 @@ def test_each_method_gives_the_same_rows_on_every_draw():
                 assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
 
+def test_methods_of_a_trial_share_their_probe_draws(tmp_path):
+    # optimized, statistical and subgradient make one design, so probed
+    # from a trial's shared draws their rows differ only in the method
+    cfg = _tiny_cfg(trials=3, methods=("optimized", "statistical",
+                                       "subgradient"))
+    info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
+    by_method = collections.defaultdict(list)
+    for row in hn.read_csv_rows(info["results"]):
+        by_method[row.pop("method")].append(row)
+    assert len(by_method["optimized"]) == 2 * 3
+    assert by_method["statistical"] == by_method["optimized"]
+    assert by_method["subgradient"] == by_method["optimized"]
+
+
 @pytest.mark.parametrize("trials", [1, 3])
 def test_probe_pool_keeps_the_rows(tmp_path, trials):
-    # the pool of probe tasks, one per (trial, method) and each probing
-    # the method's designs at every point, gives the sweep's rows in
-    # (point, trial, method) order, whatever the trial count
+    # the probe tasks, one per trial and each probing every method's
+    # designs at every point, give the sweep's rows in (point, trial,
+    # method) order, whatever the trial count; the reference stacks the
+    # designs method by method, and a design's record does not depend on
+    # its place in the stack
     cfg = hn.build_config("desk", "sweep_power_dbm = 10, 30\n"
                           "methods = optimized, random, no_ris", trials=trials)
     info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
@@ -533,14 +569,18 @@ def test_probe_pool_keeps_the_rows(tmp_path, trials):
         for method in sub.methods] for si, (_, sub) in enumerate(points)]
     records = {}
     for trial in range(cfg.trials):
-        for mi, method in enumerate(cfg.methods):
-            records[trial, mi] = hn._probe_records(
-                [point[trial] for point in draws],
-                np.stack([point[mi][0][trial] for point in designs]),
-                np.stack([point[mi][1][trial] for point in designs]),
-                [cfg.seed, trial, *method.encode(), 1], cfg.probe_rounds)
+        stacked = hn._probe_records(
+            [point[trial] for _ in cfg.methods for point in draws],
+            np.stack([point[mi][0][trial] for mi in range(len(cfg.methods))
+                      for point in designs]),
+            np.stack([point[mi][1][trial] for mi in range(len(cfg.methods))
+                      for point in designs]),
+            [cfg.seed, trial, 1], cfg.probe_rounds)
+        for mi in range(len(cfg.methods)):
+            for si in range(len(points)):
+                records[trial, mi, si] = stacked[mi * len(points) + si]
     want = [("bdr_vs_power", sval, trial, method,
-             *records[trial, mi][si], sub.seed)
+             *records[trial, mi, si], sub.seed)
             for si, (sval, sub) in enumerate(points)
             for trial in range(sub.trials)
             for mi, method in enumerate(sub.methods)]
@@ -554,8 +594,8 @@ def test_probe_pool_keeps_the_rows(tmp_path, trials):
 
 
 def test_probes_run_on_the_calling_thread(tmp_path, monkeypatch):
-    # every task runs on the thread that called, and the run starts no
-    # thread
+    # one task per trial runs on the thread that called, and the run
+    # starts no thread
     real = hn._probe_records
     threads = threading.active_count()
     seen = []
@@ -568,7 +608,7 @@ def test_probes_run_on_the_calling_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(hn, "_probe_records", watched_probe)
     cfg = _tiny_cfg(trials=3, methods=("optimized", "random", "no_ris"))
     hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
-    assert seen == [(True, threads)] * (3 * 3)
+    assert seen == [(True, threads)] * 3
     assert threading.active_count() == threads
 
 
@@ -590,9 +630,9 @@ def test_a_failing_probe_reaches_the_caller_and_writes_nothing(
 
 def test_each_timing_row_includes_its_share_of_the_probe(tmp_path,
                                                          monkeypatch):
-    # one task per (trial, method) probes all the sweep's points; each
-    # task also sleeps 1 ms per point, and each of its rows must include
-    # that point's share
+    # one task per trial probes every method at all the sweep's points;
+    # each task also sleeps 1 ms per (point, method) record, and each of
+    # its rows must include that record's share
     real = hn._probe_records
 
     def slow_probe(*args):
