@@ -538,6 +538,8 @@ def _cn(rng, *shape):
     return x.view(complex)[..., 0]
 
 
+_PROBE_BLOCK = 4096     # rounds per block of draws in simulate_probing
+
 _ProbePoint = namedtuple("_ProbePoint", "lam w_sq sig2 pb beta_rb direct x_d "
                          "eve_cascade eve_direct fresh_u fresh_0")
 
@@ -568,7 +570,7 @@ def _probe_point(corr, w, v):
         fresh_0=mix_sq * corr.beta_ae * direct ** 2 + corr.noise_power)
 
 
-def simulate_probing(corr, w, v, rng, rounds, chunk=4096, *, eve=True):
+def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
     """Simulate probing rounds and return the three observation sequences.
 
     Per round the channel and the noises are drawn fresh.  Returns
@@ -630,19 +632,22 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=4096, *, eve=True):
 
     The exponentials, the legitimate scalars and Eve's scalars come from
     three streams spawned from ``rng``, each drawn round by round and
-    shared by every point, so the output does not depend on ``eve``; nor
-    on ``chunk``, wherever the BLAS product E @ lambda gives a round the
-    same bits in any block of rounds (at N = 20 a block of 7 did not).
+    shared by every point, so the output does not depend on ``eve``.
     With a point's surface off (v = 0) its lambda_i are all zero, so its
     ||u||^2 = 0 and its g is one number; when every point's is, the
     exponentials are not drawn.  The other two streams are unchanged
     either way.
 
     Memory: each output holds P x rounds values (Eve's P x rounds x K),
-    and the points' ||u||^2 up to P x rounds reals.  Those are taken
-    first, from chunk x N exponentials at a time, each chunk dropped once
-    its P products are taken; then the outputs are made and filled from
-    chunk x (4 + K) normals at a time.
+    and the points' ||u||^2 up to P x rounds reals.  Beyond those a call
+    works on one block of ``_PROBE_BLOCK`` rounds at a time, whatever
+    ``rounds``: first every ||u||^2, from block x N exponentials at a
+    time, each dropped before the next is drawn and before the outputs
+    are made; then the outputs, from block x (4 + K) normals at a time.
+    Without Eve at N = 60 that stays under block x N x 8 bytes (1.97 MB).
+    One pass, a block's exponentials drawn beside the outputs, was slower
+    on the ``paper_probing`` benchmark (2-core box): 241-254 trials/s
+    against 272-319, 3 of 3 alternated pairs, with 7% more page faults.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -658,13 +663,10 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=4096, *, eve=True):
     n_eve = corrs[0].n_eve
     exp_rng, leg_rng, eve_rng = rng.spawn(3)
 
-    # first each point's ||u||^2 over all rounds (none with its surface
-    # off), from one chunk of exponentials at a time, each dropped before
-    # the next is drawn and before the outputs are made
     u_sqs = [np.empty(rounds) if pt.lam.any() else None for pt in points]
     if any(u_sq is not None for u_sq in u_sqs):
-        for start in range(0, rounds, chunk):
-            sl = slice(start, min(start + chunk, rounds))
+        for start in range(0, rounds, _PROBE_BLOCK):
+            sl = slice(start, min(start + _PROBE_BLOCK, rounds))
             exps = exp_rng.standard_exponential((sl.stop - start,
                                                  corrs[0].n_ris))
             for u_sq, pt in zip(u_sqs, points):
@@ -676,8 +678,8 @@ def simulate_probing(corr, w, v, rng, rounds, chunk=4096, *, eve=True):
     out_b = np.empty((len(points), rounds), dtype=complex)
     out_e = (np.empty((len(points), rounds, n_eve), dtype=complex) if eve
              else None)
-    for start in range(0, rounds, chunk):
-        sl = slice(start, min(start + chunk, rounds))
+    for start in range(0, rounds, _PROBE_BLOCK):
+        sl = slice(start, min(start + _PROBE_BLOCK, rounds))
         b = sl.stop - start
         z_1, z_2 = _cn(leg_rng, b, 2).T
         z = _cn(eve_rng, b, 2 + n_eve) if eve else None

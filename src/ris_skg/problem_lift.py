@@ -125,11 +125,6 @@ def objective_terms(prob, v, w):
     return ObjectiveTerms(m, q_u, u1, d, r_v, q_v, f)
 
 
-def objective(prob, v, w):
-    """Per-eavesdropper effective gains f_k(v, w), shape (K,)."""
-    return objective_terms(prob, v, w).f
-
-
 def min_objective(prob, v, w):
     return float(np.min(objective_terms(prob, v, w).f))
 

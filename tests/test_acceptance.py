@@ -267,7 +267,7 @@ def test_surrogates_touch_and_minorize_along_runs(tracked_runs,
                 x0, grads = v, pl.grad_v(prob, v, w)
             else:
                 x0, grads = w, pl.grad_w(prob, v, w)
-            truth = pl.objective(prob, v, w)
+            truth = pl.objective_terms(prob, v, w).f
             scale = _reconstruction_scale(sp, x0)
             assert np.all(np.abs(mp.minorant_values(sp, x0) - truth)
                           <= 1e-9 * scale)
@@ -278,10 +278,10 @@ def test_surrogates_touch_and_minorize_along_runs(tracked_runs,
                 z = oracles.complex_normal(rng, x0.shape[0]) * 1.5
                 if block == "v":
                     x = pl.project_discs(z)
-                    f = pl.objective(prob, x, w)
+                    f = pl.objective_terms(prob, x, w).f
                 else:
                     x = pl.project_ball(z, prob.power_alice)
-                    f = pl.objective(prob, v, x)
+                    f = pl.objective_terms(prob, v, x).f
                 gap = f - mp.minorant_values(sp, x)
                 assert np.all(gap >= -1e-8 * _reconstruction_scale(sp, x))
             checked += 1

@@ -63,7 +63,7 @@ def test_surrogate_v_touches_and_minorizes():
     for seed in range(15):
         rng, corr, prob, v, w = _normalized_problem(seed)
         sp = bsum.build_surrogate(prob, v, w, "v")
-        truth = pl.objective(prob, v, w)
+        truth = pl.objective_terms(prob, v, w).f
         scale = _reconstruction_scale(sp, v)
         assert np.all(np.abs(mp.minorant_values(sp, v) - truth)
                       <= 1e-9 * scale)
@@ -72,7 +72,7 @@ def test_surrogate_v_touches_and_minorizes():
         assert np.all(np.abs(miss) <= 1e-9 * (1.0 + sp.quad[:, None]))
         for _ in range(20):
             x = pl.project_discs(oracles.complex_normal(rng, v.shape[0]) * 1.5)
-            gap = pl.objective(prob, x, w) - mp.minorant_values(sp, x)
+            gap = pl.objective_terms(prob, x, w).f - mp.minorant_values(sp, x)
             assert np.all(gap >= -1e-9 * _reconstruction_scale(sp, x))
 
 
@@ -80,7 +80,7 @@ def test_surrogate_w_touches_and_minorizes():
     for seed in range(15):
         rng, corr, prob, v, w = _normalized_problem(seed)
         sp = bsum.build_surrogate(prob, v, w, "w")
-        truth = pl.objective(prob, v, w)
+        truth = pl.objective_terms(prob, v, w).f
         scale = _reconstruction_scale(sp, w)
         assert np.all(np.abs(mp.minorant_values(sp, w) - truth)
                       <= 1e-9 * scale)
@@ -91,7 +91,7 @@ def test_surrogate_w_touches_and_minorizes():
         for _ in range(20):
             x = pl.project_ball(oracles.complex_normal(rng, w.shape[0]) * 1.5,
                                 prob.power_alice)
-            gap = pl.objective(prob, v, x) - mp.minorant_values(sp, x)
+            gap = pl.objective_terms(prob, v, x).f - mp.minorant_values(sp, x)
             assert np.all(gap >= -1e-9 * _reconstruction_scale(sp, x))
 
 
@@ -244,7 +244,7 @@ def test_form_oracle_matches_lifted_objective_and_partials():
             m, h, s = (np.vdot(w, prob.r_s @ w).real,
                        np.vdot(v, prob.had @ v).real, np.vdot(v, v).real)
             assert np.allclose(oracles.gains_from_forms(prob, m, h, s),
-                               pl.objective(prob, v, w),
+                               pl.objective_terms(prob, v, w).f,
                                rtol=1e-12, atol=0.0)
             x = np.array([m, h, s])
             partials = oracles.form_partials(prob, m, h, s)
@@ -283,20 +283,20 @@ def _assert_dominated(corr, rng, points=60):
     random points and at small perturbations of the design itself."""
     prob = pl.build_lifted(corr)
     w_star, v_star = bsum.statistical_design(corr)
-    best = pl.objective(prob, v_star, w_star)
+    best = pl.objective_terms(prob, v_star, w_star).f
     assert np.allclose(best, oracles.gains_from_forms(
         prob, *_top_forms(corr, prob)), rtol=1e-12, atol=0.0)
     slack = 1e-12 * np.abs(best)
     for i in range(points):
         v, w = oracles.random_feasible_point(
             rng, prob, unit_modulus=i % 3 == 0, full_power=i % 2 == 0)
-        assert np.all(pl.objective(prob, v, w) <= best + slack)
+        assert np.all(pl.objective_terms(prob, v, w).f <= best + slack)
         eps = 10.0 ** -rng.uniform(1, 6)
         v = pl.project_discs(
             v_star + eps * oracles.complex_normal(rng, v.size))
         w = pl.project_ball(w_star + eps * oracles.complex_normal(rng, w.size),
                             prob.power_alice)
-        assert np.all(pl.objective(prob, v, w) <= best + slack)
+        assert np.all(pl.objective_terms(prob, v, w).f <= best + slack)
 
 
 def test_statistical_design_dominates_feasible_points():

@@ -1,5 +1,6 @@
 """Configuration parsing and second-order channel statistics."""
 
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from typing import get_args, get_type_hints
@@ -13,6 +14,7 @@ from scipy.special import j0
 from scipy.stats import ks_2samp
 
 from ris_skg import channel_model as cm
+from ris_skg import harness as hn
 from ris_skg.harness import (bit_disagreement, build_config,
                              quantize_median_bits)
 
@@ -480,36 +482,37 @@ def test_simulate_probing_matches_analytic_covariance():
         assert np.allclose(got, want, rtol=0.03, atol=0.03 * abs(ana.bb))
 
 
-def test_simulate_probing_deterministic_and_chunk_invariant():
+def test_simulate_probing_deterministic_and_chunk_invariant(monkeypatch):
     rng = np.random.default_rng(33)
     corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
     w = oracles.random_combiner(rng, corr)
     v = oracles.random_reflect(rng, corr)
     ref = cm.simulate_probing(corr, w, v, np.random.default_rng(5), 300)
-    for chunk in (64, 7, 300, 1000):
-        got = cm.simulate_probing(corr, w, v, np.random.default_rng(5), 300,
-                                  chunk=chunk)
+    for block in (64, 7, 300, 1000):
+        monkeypatch.setattr(cm, "_PROBE_BLOCK", block)
+        got = cm.simulate_probing(corr, w, v, np.random.default_rng(5), 300)
         for a, b in zip(ref, got):
             assert np.array_equal(a, b)
 
 
-def test_simulate_probing_without_eve_keeps_alice_and_bob():
+def test_simulate_probing_without_eve_keeps_alice_and_bob(monkeypatch):
     rng = np.random.default_rng(34)
     corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
     w = oracles.random_combiner(rng, corr)
     v = oracles.random_reflect(rng, corr)
-    # several chunks, so Eve's draws would shift later ones if they shared
+    # several blocks, so Eve's draws would shift later ones if they shared
     # the legitimate stream
-    a1, b1, e1 = cm.simulate_probing(corr, w, v, np.random.default_rng(6), 500,
-                                     chunk=64)
+    monkeypatch.setattr(cm, "_PROBE_BLOCK", 64)
+    a1, b1, e1 = cm.simulate_probing(corr, w, v, np.random.default_rng(6), 500)
     a2, b2, e2 = cm.simulate_probing(corr, w, v, np.random.default_rng(6), 500,
-                                     chunk=64, eve=False)
+                                     eve=False)
     assert e1.shape == (500, 2)
     assert e2 is None
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
-def test_simulate_probing_with_the_surface_off_is_the_direct_link_alone():
+def test_simulate_probing_with_the_surface_off_is_the_direct_link_alone(
+        monkeypatch):
     # v = 0 zeroes the cascade, so its exponential stream (the first
     # spawned one) is not drawn; the legitimate pair still comes from the
     # second, two scalars per round, and both outputs are the direct-only
@@ -519,8 +522,9 @@ def test_simulate_probing_with_the_surface_off_is_the_direct_link_alone():
     w = oracles.random_combiner(rng, corr)
     v = np.zeros(corr.n_ris, dtype=complex)
     rounds = 500
+    monkeypatch.setattr(cm, "_PROBE_BLOCK", 64)
     alice, bob, _ = cm.simulate_probing(corr, w, v, np.random.default_rng(7),
-                                        rounds, chunk=64)
+                                        rounds)
     _, leg_rng, _ = np.random.default_rng(7).spawn(3)
     z_1, z_2 = cm._cn(leg_rng, rounds, 2).T
     sig2, pb = corr.noise_power, corr.power_bob
@@ -622,9 +626,9 @@ def _power_points(corr, w, scales):
 
 
 @pytest.mark.parametrize("eve", [False, True])
-def test_stacked_probe_equals_its_single_design_probes(eve):
+def test_stacked_probe_equals_its_single_design_probes(eve, monkeypatch):
     # point p of a stacked call is the call on its own design and set, bit
-    # for bit, whatever the chunk; the third point has the surface off, so
+    # for bit, whatever the block; the third point has the surface off, so
     # it reads none of the exponentials the others share
     rng = np.random.default_rng(37)
     corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
@@ -634,15 +638,16 @@ def test_stacked_probe_equals_its_single_design_probes(eve):
                    oracles.random_reflect(rng, corr),
                    np.zeros(corr.n_ris, dtype=complex)])
     for points in (2, 3):
-        for chunk in (64, 7, 300, 1000):
+        for block in (64, 7, 300, 1000):
+            monkeypatch.setattr(cm, "_PROBE_BLOCK", block)
             got = cm.simulate_probing(corrs[:points], ws[:points],
                                       vs[:points], np.random.default_rng(5),
-                                      300, chunk=chunk, eve=eve)
+                                      300, eve=eve)
             assert got[0].shape == got[1].shape == (points, 300)
             for p in range(points):
                 alone = cm.simulate_probing(corrs[p], ws[p], vs[p],
                                             np.random.default_rng(5), 300,
-                                            chunk=chunk, eve=eve)
+                                            eve=eve)
                 assert np.array_equal(got[0][p], alone[0])
                 assert np.array_equal(got[1][p], alone[1])
                 if eve:
@@ -650,6 +655,68 @@ def test_stacked_probe_equals_its_single_design_probes(eve):
                     assert np.array_equal(got[2][p], alone[2])
                 else:
                     assert got[2] is None and alone[2] is None
+
+
+def _paper_trial_stack():
+    """The 21 (power, method) designs of one paper-preset ``bdr_vs_power``
+    trial (N = 20, K = 10, ``no_ris`` among the methods), each on its
+    power's draw, as the harness stacks them for one probe."""
+    cfg = build_config("paper", trials=1)
+    corrs, ws, vs = [], [], []
+    for si, (_, sub) in enumerate(hn._sweep_configs(cfg, "bdr_vs_power")):
+        draw = hn._draw(sub, 0)
+        for w, v, _ in hn._designs(sub, si, draw):
+            corrs.append(draw)
+            ws.append(w[0])
+            vs.append(v[0])
+    return corrs, np.stack(ws), np.stack(vs)
+
+
+@pytest.mark.parametrize("eve", [False, True])
+def test_stacked_probe_equals_its_single_design_probes_at_paper_size(eve):
+    # at N = 20 the product E @ lambda can give a round other bits in a
+    # block of another length, so the block lengths here (two full, one
+    # of 3 rounds) are checked at the size the experiments run
+    corrs, ws, vs = _paper_trial_stack()
+    assert len(corrs) == 21 and corrs[0].n_ris == 20 and corrs[0].n_eve == 10
+    assert np.count_nonzero(~vs.any(axis=1)) == 7      # no_ris at each power
+    rounds = 2 * cm._PROBE_BLOCK + 3
+    got = cm.simulate_probing(corrs, ws, vs, np.random.default_rng(5),
+                              rounds, eve=eve)
+    for p in range(len(corrs)):
+        alone = cm.simulate_probing(corrs[p], ws[p], vs[p],
+                                    np.random.default_rng(5), rounds,
+                                    eve=eve)
+        assert np.array_equal(got[0][p], alone[0]), p
+        assert np.array_equal(got[1][p], alone[1]), p
+        if eve:
+            assert np.array_equal(got[2][p], alone[2]), p
+        else:
+            assert got[2] is None and alone[2] is None
+
+
+@pytest.mark.parametrize("blocks", [3, 12])
+def test_probe_memory_beyond_its_outputs_is_under_one_block(blocks):
+    # N = 60: the paper's largest surface; three designs, one with the
+    # surface off.  Past the outputs and the ||u||^2 rows, the call holds
+    # one block of exponentials at most, whatever the number of rounds
+    cfg = build_config("paper", "ris_shape = 5x12", trials=1)
+    corr = cm.build_correlations(cfg, np.random.default_rng(0))
+    designs = hn._designs(cfg, 0, corr)
+    ws = np.stack([w[0] for w, _, _ in designs])
+    vs = np.stack([v[0] for _, v, _ in designs])
+    rounds = blocks * cm._PROBE_BLOCK + 1
+    tracemalloc.start()
+    try:
+        alice, bob, _ = cm.simulate_probing(
+            [corr] * len(designs), ws, vs, np.random.default_rng(1), rounds,
+            eve=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    u_rows = np.count_nonzero(vs.any(axis=1)) * rounds * 8
+    assert peak - alice.nbytes - bob.nbytes - u_rows < (
+        cm._PROBE_BLOCK * corr.n_ris * 8)
 
 
 def test_stacked_probe_rejects_points_that_cannot_share_draws():

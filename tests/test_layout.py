@@ -1,11 +1,13 @@
 """Package layout: every top-level definition in ``src/ris_skg`` has a
 caller outside the tests, or is exported.
 
-A name counts as used when it appears as a bare name, an attribute, an
-imported name or a string constant anywhere in ``src/``, ``perfbench/`` or
-``scripts/``; the string case covers the perfbench tracer, which wraps
-functions by attribute name.  Code that only the tests call belongs in
-``tests/oracles.py``.
+A name counts as used when it appears as a bare name that is read, an
+attribute, an imported name or a string constant anywhere in ``src/``,
+``perfbench/`` or ``scripts/``; the string case covers the perfbench
+tracer, which wraps functions by attribute name.  A bare name that is only
+assigned, such as a dataclass field, is no use: a field named like a
+function must not hide that function.  Code that only the tests call
+belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -17,7 +19,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _names(node):
-    if isinstance(node, ast.Name):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr

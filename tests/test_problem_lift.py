@@ -89,7 +89,7 @@ def test_objective_terms_consistency():
         terms.f,
         terms.m * terms.q_u - terms.u1 ** 2 / terms.d)
     assert pl.min_objective(prob, v, w) == pytest.approx(np.min(terms.f))
-    assert np.allclose(pl.objective(prob, v, w), terms.f)
+    assert np.allclose(pl.objective_terms(prob, v, w).f, terms.f)
 
 
 def _assert_rows_close(got, ref, rtol=1e-9):
@@ -105,7 +105,7 @@ def _assert_matches_dense(corr, v, w):
     [Re; Im] layout."""
     prob = pl.build_lifted(corr)
     ref = oracles.dense_reference(corr, v, w)
-    _assert_rows_close(pl.objective(prob, v, w), ref["f"])
+    _assert_rows_close(pl.objective_terms(prob, v, w).f, ref["f"])
     _assert_rows_close(oracles.lift_vector(pl.grad_v(prob, v, w)),
                        ref["grad_v"])
     _assert_rows_close(oracles.lift_vector(pl.grad_w(prob, v, w)),
@@ -156,13 +156,13 @@ def test_gradients_match_finite_differences():
         # compared in the stacked [Re; Im] layout, component by component
         gv = oracles.lift_vector(pl.grad_v(prob, v, w)[k])
         fd_v = oracles.lift_vector(oracles.fd_grad(
-            lambda x: pl.objective(prob, x, w)[k], v, eps=1e-6))
+            lambda x: pl.objective_terms(prob, x, w).f[k], v, eps=1e-6))
         worst_v = max(worst_v, np.max(np.abs(gv - fd_v))
                       / max(np.linalg.norm(fd_v), 1e-9))
 
         gw = oracles.lift_vector(pl.grad_w(prob, v, w)[k])
         fd_w = oracles.lift_vector(oracles.fd_grad(
-            lambda x: pl.objective(prob, v, x)[k], w, eps=1e-6))
+            lambda x: pl.objective_terms(prob, v, x).f[k], w, eps=1e-6))
         worst_w = max(worst_w, np.max(np.abs(gw - fd_w))
                       / max(np.linalg.norm(fd_w), 1e-9))
     assert worst_v <= 1e-5
