@@ -8,7 +8,7 @@
 # with one BLAS thread, the desk suite takes 3.4-3.6 s, 1.1-1.6 s of it in
 # bdr_vs_power.  The paper suite (1000 trials per sweep point at the
 # largest array sizes) took 25.6 s in one run.  In separate runs
-# bdr_vs_power alone took 24.6-26.8 s (it probes one task per trial, for
+# bdr_vs_power alone took 24.6-26.8 s (it probes each trial in one call, for
 # all its methods and powers, on one thread) and each key-rate experiment
 # 0.56-1.24 s; the spread is the host's.  Run the desk suite first to check
 # the setup.

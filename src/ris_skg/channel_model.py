@@ -139,6 +139,14 @@ class ScenarioConfig:
                      "ref_gain", "wavelength_m", "ris_spacing_wavelengths"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        # no two surface elements lie more than ``span`` wavelengths apart
+        # per axis, so their squared distance in metres (np.linalg.norm) and
+        # their distance times 2 pi in wavelengths (np.sinc) stay finite
+        span = max(self.ris_shape) * self.ris_spacing_wavelengths
+        span_m = span * self.wavelength_m
+        if not math.isfinite(2.0 * span_m * span_m + 9.0 * span):
+            raise ConfigError("ris_spacing_wavelengths and wavelength_m are "
+                              "too large: surface element distances overflow")
         if self.bsum_tol <= 0 or self.inner_tol <= 0:
             raise ConfigError("solver tolerances must be positive")
         if self.bsum_max_iters < 1 or self.inner_max_iters < 1:

@@ -2,8 +2,11 @@
 
 Every experiment produces a results file with a fixed schema plus a
 sidecar with wall-clock timings and a JSON manifest describing the
-resolved configuration.  All randomness is derived from the config seed
-through three families of streams:
+resolved configuration.  One driver, ``_run_sweep``, runs every
+experiment: it makes each sweep point's designs, evaluates them in one
+call per point (key rates) or per trial (probing), and gives each timing
+row its design's time plus its share of that call.  All randomness is
+derived from the config seed through three families of streams:
 
 - a trial's eavesdropper, ``[seed, trial]``;
 - a method's designs at a sweep point, ``[seed, sweep index, *method name
@@ -276,15 +279,6 @@ def _timed(fn, *args):
     return out, (time.perf_counter() - t0) * 1e3
 
 
-def _stack_draws(draws):
-    """One CorrelationSet carrying every draw's per-antenna arrays, shaped
-    (antenna, draw, 1) so that they broadcast against (draw, method)
-    stacks of designs; the draws share everything else."""
-    return draws[0].with_eve(*(
-        np.stack([getattr(corr, name) for corr in draws], axis=1)[..., None]
-        for name in ("beta_ae", "beta_re", "rho_eve")))
-
-
 def _draw(sub, trial):
     """A trial's scenario: its eavesdropper drawn from ``[seed, trial]``."""
     return build_correlations(sub, np.random.default_rng([sub.seed, trial]))
@@ -312,85 +306,81 @@ def _designs(sub, si, first):
     return out
 
 
-def _rate_sweep(experiment, points):
-    """Rows and timing rows of a key-rate experiment.  Per sweep point:
-    make its designs, draw each trial's scenario, then rate every design
-    on every draw in one ``min_kgr_bits`` call after its last draw; a
-    timing row covers the design alone.  A rate that is not finite raises
-    ConfigError."""
-    rows, timings = [], []
-    for si, (sval, sub) in enumerate(points):
-        first = _draw(sub, 0)
-        designs = _designs(sub, si, first)
-        draws = [first, *(_draw(sub, trial)
-                          for trial in range(1, sub.trials))]
-        with np.errstate(all="ignore"):
-            rates = min_kgr_bits(_stack_draws(draws),
-                                 np.stack([w for w, _, _ in designs], axis=1),
-                                 np.stack([v for _, v, _ in designs], axis=1))
-        if not np.isfinite(rates).all():
-            raise ConfigError(
-                f"key rates at sweep value {_fmt(sval)} are not "
-                "finite: a gain or power overflows")
-        for trial in range(sub.trials):
-            for method, (_, _, design_ms), rate in zip(
-                    sub.methods, designs, rates[trial]):
-                head = (experiment, sval, trial, method)
-                rows.append((*head, rate, sub.seed))
-                timings.append((*head, design_ms))
-    return rows, timings
-
-
-def _probe_sweep(experiment, points):
-    """Rows and timing rows of a probing experiment.  Every point's
-    designs are made first, each from the point's first draw.  Then each
-    trial is drawn once per point, and one task, ``_probe_records``,
-    probes every method's designs at every point from the trial's stream
-    ``[seed, trial, 1]``: a trial's rows share common random numbers, and
-    every row keeps its own law.  The points share the sweep's trials,
-    methods and probe rounds.
-
-    Tasks run one at a time on this thread, one per trial, and a trial is
-    drawn just before its task; the task's outputs, 2 x points x methods x
-    rounds complex values, are alive at once.  Rows come out in (point,
-    trial, method) order.  A timing row is the design's time plus
-    its task's wall time divided by points x methods."""
-    _, base = points[0]
-    firsts = [_draw(sub, 0) for _, sub in points]
-    designs = [_designs(sub, si, first)
-               for si, ((_, sub), first) in enumerate(zip(points, firsts))]
-    stack = [design for point in designs for design in point]
-    rows = [[] for _ in points]
-    timings = [[] for _ in points]
-    for trial in range(base.trials):
-        draws = firsts if trial == 0 else [_draw(sub, trial)
-                                          for _, sub in points]
-        records, task_ms = _timed(
-            _probe_records,
-            [corr for corr in draws for _ in base.methods],
-            np.stack([w[trial] for w, _, _ in stack]),
-            np.stack([v[trial] for _, v, _ in stack]),
-            [base.seed, trial, 1], base.probe_rounds)
-        share_ms = task_ms / len(stack)
-        records = iter(records)
-        for si, (sval, sub) in enumerate(points):
-            for method, (_, _, design_ms) in zip(base.methods, designs[si]):
-                head = (experiment, sval, trial, method)
-                rows[si].append((*head, *next(records), sub.seed))
-                timings[si].append((*head, design_ms + share_ms))
-    return [row for point in rows for row in point], [
-        row for point in timings for row in point]
+def _rates(sval, draws, designs):
+    """Every design of a sweep point rated on every draw of it in one
+    ``min_kgr_bits`` call: a (trial, method, 1) array, one record of one
+    rate per row.  The call's CorrelationSet carries every draw's
+    per-antenna arrays, shaped (antenna, draw, 1) to broadcast against
+    the (draw, method) design stacks; the draws share everything else.  A
+    rate that is not finite raises ConfigError."""
+    stacked = draws[0].with_eve(*(
+        np.stack([getattr(corr, name) for corr in draws], axis=1)[..., None]
+        for name in ("beta_ae", "beta_re", "rho_eve")))
+    with np.errstate(all="ignore"):
+        rates = min_kgr_bits(stacked,
+                             np.stack([w for w, _, _ in designs], axis=1),
+                             np.stack([v for _, v, _ in designs], axis=1))
+    if not np.isfinite(rates).all():
+        raise ConfigError(
+            f"key rates at sweep value {_fmt(sval)} are not "
+            "finite: a gain or power overflows")
+    return rates[..., None]
 
 
 def _run_sweep(cfg, experiment):
-    """Common driver: the rows and timing rows of one experiment over its
-    sweep.  Every sweep point's config is built, and so checked, before
-    the first trial runs; a sweep point makes each method's designs for
-    all its trials in one call, so a timing row's design time is the
-    method's call time divided by ``trials``."""
+    """The one sweep driver: an experiment's rows and timing rows.
+
+    Every point's config is built, and so checked, first; then each
+    point's first draw and, from it, the point's designs.  Each group of
+    draws is drawn just before the one call that evaluates it: a key-rate
+    point's trials in ``_rates``, or a probing trial's points in
+    ``_probe_records`` from the trial's stream ``[seed, trial, 1]``, whose
+    2 x points x methods x rounds complex outputs are alive at once.  The
+    points share the sweep's trials, methods and probe rounds.  Rows come
+    out in (point, trial, method) order.  A timing row is its design's time
+    per trial plus its share of the call that evaluated it: the call's wall
+    time divided by the rows it evaluated."""
     points = _sweep_configs(cfg, experiment)
-    sweep = _probe_sweep if EXPERIMENTS[experiment].probes else _rate_sweep
-    return sweep(experiment, points)
+    firsts = [_draw(sub, 0) for _, sub in points]
+    designs = [_designs(sub, si, first)
+               for si, ((_, sub), first) in enumerate(zip(points, firsts))]
+    # (point, trial) -> each method's record, and each row's share of the
+    # call that evaluated it
+    evaluated = {}
+    if EXPERIMENTS[experiment].probes:
+        _, base = points[0]
+        stack = [design for point in designs for design in point]
+        width = len(base.methods)
+        for trial in range(base.trials):
+            draws = firsts if trial == 0 else [_draw(sub, trial)
+                                              for _, sub in points]
+            records, ms = _timed(
+                _probe_records,
+                [corr for corr in draws for _ in base.methods],
+                np.stack([w[trial] for w, _, _ in stack]),
+                np.stack([v[trial] for _, v, _ in stack]),
+                [base.seed, trial, 1], base.probe_rounds)
+            for si in range(len(points)):
+                evaluated[si, trial] = (records[si * width:(si + 1) * width],
+                                        ms / len(records))
+    else:
+        for si, ((sval, sub), first) in enumerate(zip(points, firsts)):
+            draws = [first, *(_draw(sub, trial)
+                              for trial in range(1, sub.trials))]
+            rates, ms = _timed(_rates, sval, draws, designs[si])
+            share_ms = ms / (sub.trials * len(sub.methods))
+            for trial in range(sub.trials):
+                evaluated[si, trial] = rates[trial], share_ms
+    rows, timings = [], []
+    for si, (sval, sub) in enumerate(points):
+        for trial in range(sub.trials):
+            records, share_ms = evaluated[si, trial]
+            for method, (_, _, design_ms), record in zip(
+                    sub.methods, designs[si], records):
+                head = (experiment, sval, trial, method)
+                rows.append((*head, *record, sub.seed))
+                timings.append((*head, design_ms + share_ms))
+    return rows, timings
 
 
 def run_experiment(experiment, cfg, out_dir):

@@ -648,6 +648,23 @@ def test_each_timing_row_includes_its_share_of_the_probe(tmp_path,
                for r in hn.read_csv_rows(info["timings"]))
 
 
+def test_each_timing_row_includes_its_share_of_the_rates(tmp_path,
+                                                         monkeypatch):
+    # one call per sweep point rates every method's designs on every
+    # trial's draw; each call also sleeps 1 ms per design it rates, and
+    # each row must include that design's share
+    def slow_rates(corr, w, v):
+        time.sleep(1e-3 * math.prod(w.shape[:-1]))
+        return min_kgr_bits(corr, w, v)
+
+    monkeypatch.setattr(hn, "min_kgr_bits", slow_rates)
+    cfg = _tiny_cfg(trials=10, methods=("optimized", "random", "no_ris"))
+    info = hn.run_experiment("kgr_vs_power", cfg, str(tmp_path))
+    assert info["rows"] == 2 * 10 * 3
+    assert all(float(r["milliseconds"]) >= 1.0
+               for r in hn.read_csv_rows(info["timings"]))
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -725,6 +742,8 @@ def test_experiments_run_without_scipy(tmp_path, experiment, name):
     "pl_exp_alice_eve = -400",
     "ref_gain = 1e300",
     "noise_power_w = 1e-320",
+    "ris_spacing_wavelengths = 1e300",
+    "wavelength_m = 1e300",
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
@@ -745,6 +764,20 @@ def test_bdr_rejects_an_overflowing_fixed_link(tmp_path, capsys):
                    "--config", str(bad), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "path gain overflows" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "bdr.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["ris_spacing_wavelengths = 1e300",
+                                  "wavelength_m = 1e300"])
+def test_bdr_rejects_an_overflowing_surface_geometry(tmp_path, capsys, line):
+    # the surface's element distances overflow a float: the config is
+    # rejected when it is built, before the surface correlation is computed
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    rc = cli.main(["bdr_vs_power", "--preset", "desk", "--trials", "1",
+                   "--config", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "surface element distances overflow" in capsys.readouterr().err
     assert not (tmp_path / "run" / "bdr.csv").exists()
 
 

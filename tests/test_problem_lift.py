@@ -89,7 +89,10 @@ def test_objective_terms_consistency():
         terms.f,
         terms.m * terms.q_u - terms.u1 ** 2 / terms.d)
     assert pl.min_objective(prob, v, w) == pytest.approx(np.min(terms.f))
-    assert np.allclose(pl.objective_terms(prob, v, w).f, terms.f)
+    m, h, s = (np.vdot(w, prob.r_s @ w).real,
+               np.vdot(v, prob.had @ v).real, np.vdot(v, v).real)
+    assert np.allclose(terms.f, oracles.gains_from_forms(prob, m, h, s),
+                       rtol=1e-12, atol=0.0)
 
 
 def _assert_rows_close(got, ref, rtol=1e-9):
