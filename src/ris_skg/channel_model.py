@@ -26,16 +26,16 @@ class ConfigError(ValueError):
     """Raised when a scenario config file or object fails validation."""
 
 
-def dbm_to_watts(x_dbm):
-    """Watts from dBm; a value too large for a float comes out inf, without
+def db_to_linear(x_db):
+    """Linear from dB; a value too large for a float comes out inf, without
     an overflow warning, for the config's finiteness check to reject."""
     with np.errstate(over="ignore"):
-        return 10.0 ** ((np.asarray(x_dbm, dtype=float) - 30.0) / 10.0)
-
-
-def db_to_linear(x_db):
-    with np.errstate(over="ignore"):
         return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+
+
+def dbm_to_watts(x_dbm):
+    """Watts from dBm, by ``db_to_linear``'s overflow rule."""
+    return db_to_linear(np.asarray(x_dbm, dtype=float) - 30.0)
 
 
 def _finite(value):
@@ -147,6 +147,15 @@ class ScenarioConfig:
         if not math.isfinite(2.0 * span_m * span_m + 9.0 * span):
             raise ConfigError("ris_spacing_wavelengths and wavelength_m are "
                               "too large: surface element distances overflow")
+        # the spacing in metres must not square to a subnormal (R_ris
+        # inexact) or to 0 (R_ris all ones), and Eve's phase 2 pi d / lambda
+        # (eve_cross_correlation) must stay finite; her d to Bob is < 2 reach
+        spacing_m = self.ris_spacing_wavelengths * self.wavelength_m
+        if (spacing_m * spacing_m < np.finfo(float).tiny or not
+                math.isfinite(4.0 * math.pi * reach / self.wavelength_m)):
+            raise ConfigError("ris_spacing_wavelengths and wavelength_m are "
+                              "too small: element spacings or Eve's phases "
+                              "leave the float range")
         if self.bsum_tol <= 0 or self.inner_tol <= 0:
             raise ConfigError("solver tolerances must be positive")
         if self.bsum_max_iters < 1 or self.inner_max_iters < 1:
@@ -369,11 +378,6 @@ def _checked_eigh(mat, name):
     return vals, vecs
 
 
-def _psd_sqrt(vals, vecs):
-    """Read-only PSD square root from the decomposition ``(vals, vecs)``."""
-    return _frozen((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
-
-
 # ---------------------------------------------------------------------------
 # assembled statistics
 
@@ -390,8 +394,8 @@ class CorrelationSet:
     anything else raises ValueError.  Construction builds, as read-only
     attributes, what the design, the key rate and probing read: one
     decomposition of each matrix, ``bs_eigh``/``ris_eigh`` (eigenvalues
-    ascending, eigenvectors; the PSD check reads them too), the roots
-    ``bs_corr_sqrt``/``ris_corr_sqrt`` and ``ris_had`` = R_ris o R_ris.
+    ascending, eigenvectors; the PSD check and the probe's cascade factor
+    read them too), and ``ris_had`` = R_ris o R_ris.
     """
 
     bs_corr: np.ndarray
@@ -415,8 +419,6 @@ class CorrelationSet:
             setattr(self, name, mat.real)
         self.bs_eigh = _checked_eigh(self.bs_corr, "bs_corr")
         self.ris_eigh = _checked_eigh(self.ris_corr, "ris_corr")
-        self.bs_corr_sqrt = _psd_sqrt(*self.bs_eigh)
-        self.ris_corr_sqrt = _psd_sqrt(*self.ris_eigh)
         self.ris_had = _frozen(self.ris_corr * self.ris_corr)
         self.beta_ae = np.atleast_1d(np.asarray(self.beta_ae, dtype=float))
         self.beta_re = np.atleast_1d(np.asarray(self.beta_re, dtype=float))
@@ -427,7 +429,7 @@ class CorrelationSet:
     def with_eve(self, beta_ae, beta_re, rho_eve):
         """This set with another eavesdropper: a shallow copy with the three
         per-antenna arrays replaced and nothing checked again, so the
-        decompositions, roots and R_ris o R_ris carry over.
+        decompositions and R_ris o R_ris carry over.
         ``rho_eve`` must lie in [0, 1].  The antenna is each array's first
         axis; the key rate lets further axes carry a stack of draws (see
         ``kgr_core``)."""
@@ -482,7 +484,7 @@ def _shared_draw(config):
     Bob as the rows of one (3, 3) array; and the path-loss exponents of the
     Alice-Eve and surface-Eve links as a (2, 1) column.  Every array the
     draws share is read-only: both matrices, their decompositions and
-    roots, and R_ris o R_ris.  A fixed link's gain that overflows raises
+    R_ris o R_ris.  A fixed link's gain that overflows raises
     ConfigError."""
     alice = np.asarray(config.alice_pos)
     bob = np.asarray(config.bob_pos)
@@ -559,11 +561,13 @@ def _probe_point(corr, w, v):
     w_sq = np.vdot(w, w).real
     if not w_sq:
         raise ValueError("w must be nonzero")
-    root_bs, root_ris = corr.bs_corr_sqrt, corr.ris_corr_sqrt
-    link = (root_ris * v) @ root_ris.T
-    lam = (corr.beta_ar * np.linalg.norm(root_bs.T @ w) ** 2
-           * np.linalg.svd(link, compute_uv=False) ** 2)
-    direct = np.linalg.norm(root_bs @ w)
+    # the combiner gain m_w and the cascade factor L' (see simulate_probing)
+    m_w = np.vdot(w, corr.bs_corr @ w).real
+    vals, vecs = corr.ris_eigh
+    half = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    lam = (corr.beta_ar * m_w
+           * np.linalg.svd((half.T * v) @ half, compute_uv=False) ** 2)
+    direct = np.sqrt(m_w)
     # Eve's weights on ||u|| s_b and D d, and her fresh variance as
     # fresh_u ||u||^2 + fresh_0
     rho = corr.rho_eve
@@ -603,19 +607,23 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
     entries:
 
     * Cascade.  With G = sqrt(beta_ar) R_bs^1/2 H R_ris^1/2, the row
-      w^T G equals sqrt(beta_ar) ||R_bs^1/2T w|| z^T R_ris^1/2 in law,
+      w^T G equals sqrt(beta_ar m_w) z^T R_ris^1/2 in law, with the
+      combiner gain m_w = w^H R_bs w = ||R_bs^1/2T w||^2 and
       z ~ CN(0, I_N).  Bob's reciprocal term w^T G diag(v) h_rb is then
       sqrt(beta_rb) u^T x_b and Eve's w^T G diag(v) h_re,k is
-      sqrt(beta_re,k) u^T x_k, with u = sqrt(beta_ar) ||R_bs^1/2T w|| L^T z,
+      sqrt(beta_re,k) u^T x_k, with u = sqrt(beta_ar m_w) L^T z,
       L = R_ris^1/2 diag(v) R_ris^1/2T, and x_b, x_k the normalized
       surface channels.  Given u, u^T x_b = ||u|| s_b and
       u^T x_k = ||u|| (rho_k s_b + sqrt(1 - rho_k^2) s_k) with s_b, s_k
       independent CN(0, 1) scalars.
-    * ||u||^2 = beta_ar ||R_bs^1/2T w||^2 sum_i lambda_i E_i with lambda
-      the eigenvalues of L^H L (computed once per call and point) and
-      E_i ~ Exp(1): N real draws per round instead of an M x N complex
-      matrix.  Each point's ||u||^2 is one product E @ lambda_p.
-    * Direct path h_ab^T w = sqrt(beta_ab) D d with D = ||R_bs^1/2 w|| and
+    * ||u||^2 = beta_ar m_w sum_i lambda_i E_i with lambda the eigenvalues
+      of L^H L (computed once per call and point) and E_i ~ Exp(1): N real
+      draws per round instead of an M x N complex matrix.  Each point's
+      ||u||^2 is one product E @ lambda_p.  No root of R_ris is formed:
+      with R_ris = V diag(e) V^T from ``ris_eigh`` and
+      half = V diag(sqrt(e)), L' = half^T diag(v) half = V^T L V has L's
+      singular values, V being orthogonal.
+    * Direct path h_ab^T w = sqrt(beta_ab) D d with D = sqrt(m_w) and
       d ~ CN(0, 1); Eve's is sqrt(beta_ae,k) D (rho_k d + sqrt(1 - rho_k^2)
       d_k).
     * Alice and Bob.  Both see the shared scalar S = x^T y, y = (s_b, d),

@@ -322,29 +322,36 @@ ChannelRealization = namedtuple("ChannelRealization",
                                 "g_ar h_rb h_ab h_re h_ae")
 
 
+def psd_sqrt(vals, vecs):
+    """PSD square root from the decomposition ``(vals, vecs)``."""
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+
 def sample_channels(corr, rng):
     """Draw one ChannelRealization consistent with the correlation set.
 
     Eve's normalized channels are generated from Bob's so that
     E{conj(h~_re,k) h~_rb^T} = rho_k I and E{h~_ab conj(h~_ae,k)^T} = rho_k I.
+    The square roots of R_bs and R_ris come from the set's decompositions.
     """
     m, n, k = corr.n_bs, corr.n_ris, corr.n_eve
+    root_bs, root_ris = psd_sqrt(*corr.bs_eigh), psd_sqrt(*corr.ris_eigh)
 
     h_mat = cm._cn(rng, m, n)
-    g_ar = np.sqrt(corr.beta_ar) * corr.bs_corr_sqrt @ h_mat @ corr.ris_corr_sqrt
+    g_ar = np.sqrt(corr.beta_ar) * root_bs @ h_mat @ root_ris
 
     tilde_rb = cm._cn(rng, n)
     tilde_ab = cm._cn(rng, m)
-    h_rb = np.sqrt(corr.beta_rb) * corr.ris_corr_sqrt @ tilde_rb
-    h_ab = np.sqrt(corr.beta_ab) * corr.bs_corr_sqrt @ tilde_ab
+    h_rb = np.sqrt(corr.beta_rb) * root_ris @ tilde_rb
+    h_ab = np.sqrt(corr.beta_ab) * root_bs @ tilde_ab
 
     rho = corr.rho_eve[:, None]
     mix = np.sqrt(np.clip(1.0 - rho ** 2, 0.0, None))
     tilde_re = np.conj(rho * np.conj(tilde_rb)[None, :]
                        + mix * cm._cn(rng, k, n))
     tilde_ae = rho * tilde_ab[None, :] + mix * cm._cn(rng, k, m)
-    h_re = np.sqrt(corr.beta_re)[:, None] * tilde_re @ corr.ris_corr_sqrt
-    h_ae = np.sqrt(corr.beta_ae)[:, None] * tilde_ae @ corr.bs_corr_sqrt
+    h_re = np.sqrt(corr.beta_re)[:, None] * tilde_re @ root_ris
+    h_ae = np.sqrt(corr.beta_ae)[:, None] * tilde_ae @ root_bs
     return ChannelRealization(g_ar, h_rb, h_ab, h_re, h_ae)
 
 
@@ -428,6 +435,28 @@ def statistical_design_rate(corr):
     f = legit_channel_gain(corr) - worst_case_leakage(corr)
     return kc.kgr_from_summary(f, corr.power_bob, corr.power_alice,
                                corr.noise_power)
+
+
+# the exponents (a, b) of each baseline's transmit-power offset below: a
+# designer who assumes an i.i.d. channel at the base station (a = 1), at
+# the surface (b = 1), or at both
+BASELINE_EXPONENTS = {"iid_ris": (0, 1), "iid_bs": (1, 0), "random": (1, 1)}
+
+
+def power_offset_db(corr, baseline):
+    """The transmit power, in dB, that the correlation-only design saves
+    over ``baseline`` at equal key rate, in closed form:
+    10 log10(lam_max(R_bs)^a ((beta_c ||R_ris||_F^2 + beta_ab)
+    / (beta_c N + beta_ab))^b).  An i.i.d. combiner has mean gain
+    tr(R_bs) / M = 1 against the top eigenvector's lam_max, and i.i.d.
+    phases have mean surface form tr(R_ris o R_ris) = N against the
+    aligned phases' ||R_ris||_F^2."""
+    a, b = BASELINE_EXPONENTS[baseline]
+    lam_max = np.linalg.eigvalsh(corr.bs_corr)[-1]
+    _, q = _stat_design_scalars(corr)
+    surface = ((corr.beta_cascade * q + corr.beta_ab)
+               / (corr.beta_cascade * corr.n_ris + corr.beta_ab))
+    return 10.0 * np.log10(lam_max ** a * surface ** b)
 
 
 # ---------------------------------------------------------------------------

@@ -187,16 +187,22 @@ def test_bundled_config_files_parse():
 def test_bundled_config_runs_the_experiment_in_its_header(path, tmp_path):
     # each file's header shows the command it is for; ``<experiment>``
     # stands for every experiment (test_bundled_config_files_parse checks
-    # that each file parses on both presets)
+    # that each file parses on both presets, and
+    # test_every_bundled_config_runs_every_experiment runs it)
     named = re.search(r"ris-skg (\S+) --preset desk --config configs/"
                       + re.escape(path.name), path.read_text(encoding="utf-8"))
     assert named, f"{path.name} names no experiment in its header"
-    experiments = (hn.EXPERIMENTS if named[1] == "<experiment>"
-                   else (named[1],))
-    for experiment in experiments:
-        rc = cli.main([experiment, "--preset", "desk", "--config", str(path),
-                       "--trials", "1", "--out", str(tmp_path / experiment)])
-        assert rc == 0, experiment
+    assert named[1] == "<experiment>" or named[1] in hn.EXPERIMENTS
+
+
+@pytest.mark.parametrize("experiment", list(hn.EXPERIMENTS))
+@pytest.mark.parametrize("path", sorted(_CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_every_bundled_config_runs_every_experiment(path, experiment,
+                                                    tmp_path):
+    rc = cli.main([experiment, "--preset", "desk", "--config", str(path),
+                   "--trials", "1", "--out", str(tmp_path / experiment)])
+    assert rc == 0
 
 
 
@@ -744,6 +750,10 @@ def test_experiments_run_without_scipy(tmp_path, experiment, name):
     "noise_power_w = 1e-320",
     "ris_spacing_wavelengths = 1e300",
     "wavelength_m = 1e300",
+    "wavelength_m = 1e-160",
+    "wavelength_m = 1e-200",
+    "wavelength_m = 1e-320",
+    "wavelength_m = 1e-307\nris_spacing_wavelengths = 1e200",
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
@@ -779,6 +789,32 @@ def test_bdr_rejects_an_overflowing_surface_geometry(tmp_path, capsys, line):
     assert rc == 2
     assert "surface element distances overflow" in capsys.readouterr().err
     assert not (tmp_path / "run" / "bdr.csv").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "wavelength_m = 1e-160",
+    "wavelength_m = 1e-200",
+    "wavelength_m = 1e-320",
+    "wavelength_m = 1e-307\nris_spacing_wavelengths = 1e200",
+])
+def test_a_wavelength_too_small_for_the_arithmetic_exits_2(tmp_path, capsys,
+                                                           line):
+    # the element spacing in metres squares to a subnormal or to 0, which
+    # makes R_ris wrong or all ones, or Eve's phase 2 pi d / lambda
+    # overflows: rejected when the config is built, whichever experiment
+    # runs and whether or not a RuntimeWarning is an error
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    for experiment in ("kgr_vs_power", "bdr_vs_power"):
+        for action in ("default", "error"):
+            out = tmp_path / f"{experiment}_{action}"
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                rc = cli.main([experiment, "--preset", "desk", "--trials", "1",
+                               "--config", str(bad), "--out", str(out)])
+            assert rc == 2, (experiment, action)
+            assert "too small" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_bdr_rejects_an_overflowing_probe_power(tmp_path, capsys):
