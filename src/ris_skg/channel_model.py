@@ -521,14 +521,19 @@ def build_correlations(config, rng):
 
     The only randomness is Eve's placement; everything else is determined
     by the config and built once per distinct config (the last 64 are
-    memoized), so a trial pays for Eve's draw alone.
+    memoized), so a trial pays for Eve's draw alone.  An eavesdropper's
+    path gain that overflows raises ConfigError, as a fixed link's does.
     """
     shared, ends, eve_exponents = _shared_draw(config)
     diff = draw_eve_positions(config, rng) - ends[:, None]
     # each antenna's distance to Alice, the surface and Bob, as
     # np.linalg.norm computes it
     dist = np.sqrt(np.add.reduce(diff * diff, -1))
-    beta_ae, beta_re = path_loss_gain(dist[:2], eve_exponents, config.ref_gain)
+    gains = path_loss_gain(dist[:2], eve_exponents, config.ref_gain)
+    if not np.isfinite(gains).all():
+        raise ConfigError("an eavesdropper's path gain overflows: check the "
+                          "pl_exp_* exponents and ref_gain")
+    beta_ae, beta_re = gains
     return shared.with_eve(
         beta_ae=beta_ae, beta_re=beta_re,
         rho_eve=eve_cross_correlation(dist[2], config.wavelength_m))

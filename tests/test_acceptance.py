@@ -8,6 +8,7 @@ The solver trajectories are produced once in module-scoped fixtures so
 the convergence and surrogate checks inspect the same runs.
 """
 
+import pathlib
 import time
 
 import numpy as np
@@ -408,6 +409,39 @@ def test_rate_scaling_with_array_sizes(tmp_path):
     print(f"surface scaling {by_n}, combiner scaling {by_m}")
     assert by_m[0] < by_m[1] < by_m[2]
     assert by_m[2] - by_m[1] < by_m[1] - by_m[0]
+
+
+_HEADLINE = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+             / "headline.cfg")
+
+
+def _size_gains(text, tmp_path):
+    """The mean optimized rate's gain from N = 20 to 60 and from M = 5 to
+    20 on the paper preset (300 trials) with ``text`` layered on."""
+    cfg = hn.build_config("paper", text + "\nmethods = optimized", trials=300)
+    gains = []
+    for experiment, low, high in (("kgr_vs_n", 20.0, 60.0),
+                                  ("kgr_vs_m", 5.0, 20.0)):
+        out = hn.run_experiment(experiment, cfg, tmp_path / experiment)
+        means = _mean_rates(out["results"])
+        gains.append(means["optimized", high] - means["optimized", low])
+    return gains
+
+
+def test_surface_elements_raise_the_key_rate_more_than_antennas(tmp_path):
+    # the abstract's scaling claim, with a weak direct link
+    # (configs/headline.cfg): N = 20 -> 60 gains 1.814 bits and M = 5 -> 20
+    # gains 0.657, a ratio of 2.76 at the preset seed and at seeds 1-10
+    # alike, gated at 2.  The default geometry's 0.715 against 0.657 bits
+    # (ratio 1.09) is printed, not gated
+    by_n, by_m = _size_gains(_HEADLINE.read_text(encoding="utf-8"),
+                             tmp_path / "headline")
+    default_n, default_m = _size_gains("", tmp_path / "default")
+    print(f"N 20 -> 60 against M 5 -> 20: headline {by_n:.3f} / {by_m:.3f} "
+          f"bits = {by_n / by_m:.2f}, default {default_n:.3f} / "
+          f"{default_m:.3f} bits = {default_n / default_m:.2f}")
+    assert by_m > 0.0
+    assert by_n >= 2.0 * by_m
 
 
 # ---------------------------------------------------------------------------

@@ -676,13 +676,18 @@ def _paper_trial_stack():
 def test_stacked_probe_equals_its_single_design_probes_at_paper_size(eve):
     # at N = 20 the product E @ lambda can give a round other bits in a
     # block of another length, so the block lengths here (two full, one
-    # of 3 rounds) are checked at the size the experiments run
+    # of 3 rounds: 8195 in all) are checked at the size the experiments
+    # run; a second call gives the same bytes
     corrs, ws, vs = _paper_trial_stack()
     assert len(corrs) == 21 and corrs[0].n_ris == 20 and corrs[0].n_eve == 10
     assert np.count_nonzero(~vs.any(axis=1)) == 7      # no_ris at each power
     rounds = 2 * cm._PROBE_BLOCK + 3
     got = cm.simulate_probing(corrs, ws, vs, np.random.default_rng(5),
                               rounds, eve=eve)
+    again = cm.simulate_probing(corrs, ws, vs, np.random.default_rng(5),
+                                rounds, eve=eve)
+    for a, b in zip(got, again):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
     for p in range(len(corrs)):
         alone = cm.simulate_probing(corrs[p], ws[p], vs[p],
                                     np.random.default_rng(5), rounds,

@@ -28,7 +28,8 @@ from ris_skg import problem_lift as pl
 from ris_skg.channel_model import ConfigError
 from ris_skg.kgr_core import min_kgr_bits
 
-_CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_CONFIG_DIR = _ROOT / "configs"
 
 # a small but complete scenario for artifact tests
 _TINY = """
@@ -184,15 +185,18 @@ def test_bundled_config_files_parse():
 
 @pytest.mark.parametrize("path", sorted(_CONFIG_DIR.glob("*.cfg")),
                          ids=lambda path: path.name)
-def test_bundled_config_runs_the_experiment_in_its_header(path, tmp_path):
-    # each file's header shows the command it is for; ``<experiment>``
+def test_bundled_config_header_names_known_experiments_and_presets(path):
+    # each file's header shows the commands it is for; ``<experiment>``
     # stands for every experiment (test_bundled_config_files_parse checks
     # that each file parses on both presets, and
     # test_every_bundled_config_runs_every_experiment runs it)
-    named = re.search(r"ris-skg (\S+) --preset desk --config configs/"
-                      + re.escape(path.name), path.read_text(encoding="utf-8"))
-    assert named, f"{path.name} names no experiment in its header"
-    assert named[1] == "<experiment>" or named[1] in hn.EXPERIMENTS
+    named = re.findall(r"ris-skg (\S+) --preset (\S+) --config configs/"
+                       + re.escape(path.name) + r"\b",
+                       path.read_text(encoding="utf-8"))
+    assert named, f"{path.name} names no command in its header"
+    for experiment, preset in named:
+        assert experiment == "<experiment>" or experiment in hn.EXPERIMENTS
+        assert preset in hn.PRESETS
 
 
 @pytest.mark.parametrize("experiment", list(hn.EXPERIMENTS))
@@ -203,7 +207,19 @@ def test_every_bundled_config_runs_every_experiment(path, experiment,
     rc = cli.main([experiment, "--preset", "desk", "--config", str(path),
                    "--trials", "1", "--out", str(tmp_path / experiment)])
     assert rc == 0
+    with open(tmp_path / experiment / "manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["experiment"] == experiment
 
+
+def test_readme_python_examples_run_in_order(tmp_path, monkeypatch):
+    # the README's python blocks, in order and as one script, from an
+    # empty working directory
+    text = (_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks, "no python blocks in README.md"
+    monkeypatch.chdir(tmp_path)
+    exec(compile("".join(blocks), "README.md", "exec"),
+         {"__name__": "__main__"})
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +289,15 @@ def test_csv_writer_writes_what_csv_writer_writes(tmp_path):
 
 
 def test_results_are_byte_deterministic(tmp_path):
-    cfg = _tiny_cfg()
-    a = hn.run_experiment("kgr_vs_m", cfg, str(tmp_path / "a"))
-    b = hn.run_experiment("kgr_vs_m", cfg, str(tmp_path / "b"))
-    with open(a["results"], "rb") as fh:
-        bytes_a = fh.read()
-    with open(b["results"], "rb") as fh:
-        bytes_b = fh.read()
-    assert bytes_a == bytes_b
-    with open(a["manifest"], "rb") as fh:
-        man_a = fh.read()
-    with open(b["manifest"], "rb") as fh:
-        man_b = fh.read()
-    assert man_a == man_b
+    # two runs of every experiment, stochastic designs and probes included,
+    # write the same result and manifest bytes
+    cfg = _tiny_cfg(methods=tuple(hn.DESIGN_METHODS))
+    for experiment in hn.EXPERIMENTS:
+        outs = [hn.run_experiment(experiment, cfg, str(tmp_path / run))
+                for run in (experiment + "_a", experiment + "_b")]
+        for key in ("results", "manifest"):
+            a, b = (pathlib.Path(out[key]).read_bytes() for out in outs)
+            assert a == b, (experiment, key)
 
 
 def _types(value):
@@ -332,6 +344,10 @@ def test_bdr_experiment_artifacts(tmp_path):
         assert 0.0 <= float(r["p_frequency"]) <= 1.0
         assert 0.0 <= float(r["p_runs"]) <= 1.0
         assert int(r["n_bits"]) == 2000
+    with open(info["manifest"], "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["experiment"] == "bdr_vs_power"
+    assert sorted(manifest["files"]) == ["bdr.csv", "timings.csv"]
 
 
 def test_sweep_value_encodes_element_counts(tmp_path):
@@ -557,12 +573,12 @@ def test_methods_of_a_trial_share_their_probe_draws(tmp_path):
 
 
 @pytest.mark.parametrize("trials", [1, 3])
-def test_probe_pool_keeps_the_rows(tmp_path, trials):
-    # the probe tasks, one per trial and each probing every method's
-    # designs at every point, give the sweep's rows in (point, trial,
-    # method) order, whatever the trial count; the reference stacks the
-    # designs method by method, and a design's record does not depend on
-    # its place in the stack
+def test_probe_rows_equal_one_stacked_probe_per_trial(tmp_path, trials):
+    # one stacked probe per trial, of every method's designs at every
+    # point, gives the sweep's rows in (point, trial, method) order,
+    # whatever the trial count; the reference stacks the designs method by
+    # method, and a design's record does not depend on its place in the
+    # stack
     cfg = hn.build_config("desk", "sweep_power_dbm = 10, 30\n"
                           "methods = optimized, random, no_ris", trials=trials)
     info = hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
@@ -717,78 +733,108 @@ def test_experiments_run_without_scipy(tmp_path, experiment, name):
             == (tmp_path / "here" / name).read_bytes())
 
 
-@pytest.mark.parametrize("line", [
-    "bs_corr = 1.5",
-    "power_alice_dbm = nan",
-    "eve_radius_m = nan",
-    "noise_dbm = inf",
-    "wavelength_m = inf",
-    "bob_pos = nan, 0, 0",
-    "sweep_power_dbm = nan",
-    "methods =",
-    "seed = -1",
-    "power_alice_dbm = 1e6",
-    "noise_dbm = 1e6",
-    "ref_gain_db = 1e6",
-    "sweep_power_dbm = 10, 1e6",
-    "sweep_power_dbm = 10, 10",
-    "sweep_ris_shapes = 5x4, 4x5",
-    "sweep_bs_shapes = 5x2, 2x5",
-    "sweep_eve_radius_m = 1, 1.0",
-    "methods = optimized, optimized",
-    "bob_pos = 5, 0, 20",
-    "ris_pos = 3, 100, 0",
-    "ris_pos = 5, 0, 20",
-    "trials = 2\ntrials = 3",
-    "power_alice_dbm = 20\npower_alice_w = 0.5",
-    "power_alice_w = 0.5\npower_alice_dbm = 20",
-    "eve_radius_m = 1e300",
-    "alice_pos = 1e200, 0, 20",
-    "pl_exp_ris_bob = -1000",
-    "pl_exp_alice_eve = -400",
+# A bad config line and a fragment of the error it exits 2 with.  Each
+# line runs through both experiments below unless it is key-rate only.
+_BAD_CONFIG = [
+    ("bs_corr = 1.5", "bs_corr must lie in [0, 1)"),
+    ("power_alice_dbm = nan", "power_alice_w must be finite"),
+    ("eve_radius_m = nan", "eve_radius_m must be finite"),
+    ("noise_dbm = inf", "noise_power_w must be finite"),
+    ("wavelength_m = inf", "wavelength_m must be finite"),
+    ("bob_pos = nan, 0, 0", "bob_pos must be finite"),
+    ("sweep_power_dbm = nan", "sweep_power_dbm must be finite"),
+    ("methods =", "methods must name at least one design"),
+    ("seed = -1", "seed must be non-negative"),
+    ("power_alice_dbm = 1e6", "power_alice_w must be finite"),
+    ("noise_dbm = 1e6", "noise_power_w must be finite"),
+    ("ref_gain_db = 1e6", "ref_gain must be finite"),
+    ("sweep_power_dbm = 10, 1e6", "power_alice_w must be finite"),
+    ("sweep_power_dbm = 10, 10", "sweep_power_dbm repeats a value"),
+    ("sweep_ris_shapes = 5x4, 4x5", "sweep_ris_shapes repeats a value"),
+    ("sweep_bs_shapes = 5x2, 2x5", "sweep_bs_shapes repeats a value"),
+    ("sweep_eve_radius_m = 1, 1.0", "sweep_eve_radius_m repeats a value"),
+    ("methods = optimized, optimized", "methods repeats a value"),
+    ("bob_pos = 5, 0, 20", "alice_pos and bob_pos must be different"),
+    ("ris_pos = 3, 100, 0", "bob_pos and ris_pos must be different"),
+    ("ris_pos = 5, 0, 20", "alice_pos and ris_pos must be different"),
+    ("trials = 2\ntrials = 3", "line 2: trials is already set"),
+    ("power_alice_dbm = 20\npower_alice_w = 0.5",
+     "line 2: power_alice_w is already set"),
+    ("power_alice_w = 0.5\npower_alice_dbm = 20",
+     "line 2: power_alice_w is already set"),
+    ("amplitude_pathloss = false", "unknown key 'amplitude_pathloss'"),
+    ("eve_radius_m = 1e300", "link lengths overflow"),
+    ("alice_pos = 1e200, 0, 20", "link lengths overflow"),
+    ("pl_exp_ris_bob = -1000", "fixed link's path gain overflows"),
+    ("pl_exp_alice_eve = -400", "eavesdropper's path gain overflows"),
+    ("pl_exp_ris_eve = -400", "eavesdropper's path gain overflows"),
+    ("ref_gain = 1e300", "key rates at sweep value 10 are not finite"),
+    ("noise_power_w = 1e-320", "key rates at sweep value 10 are not finite"),
+    # 2000 dBm is 1e197 W: the designs and gains are finite, the key rates
+    # and the probe's observations are not
+    ("sweep_power_dbm = 10, 2000", "not finite: a gain or power overflows"),
+    ("ris_spacing_wavelengths = 1e300", "surface element distances overflow"),
+    ("wavelength_m = 1e300", "surface element distances overflow"),
+    # the element spacing in metres squares to a subnormal or to 0, which
+    # would make R_ris wrong or all ones, or Eve's phase 2 pi d / lambda
+    # overflows
+    ("wavelength_m = 1e-160", "are too small"),
+    ("wavelength_m = 1e-200", "are too small"),
+    ("wavelength_m = 1e-320", "are too small"),
+    ("wavelength_m = 1e-307\nris_spacing_wavelengths = 1e200",
+     "are too small"),
+]
+
+# Probing reads no key rate, and on these lines its observations stay
+# finite, so bdr_vs_power rightly writes its rows; only the rate formula
+# leaves the float range.
+_KEY_RATE_ONLY = {
+    # gains near 1e147: their products in the rate overflow
     "ref_gain = 1e300",
+    # a subnormal noise power: the rate's signal-to-noise ratios overflow
     "noise_power_w = 1e-320",
-    "ris_spacing_wavelengths = 1e300",
-    "wavelength_m = 1e300",
-    "wavelength_m = 1e-160",
-    "wavelength_m = 1e-200",
-    "wavelength_m = 1e-320",
-    "wavelength_m = 1e-307\nris_spacing_wavelengths = 1e200",
-])
-def test_cli_rejects_bad_config(tmp_path, capsys, line):
+}
+
+
+def _exits_2_on_every_experiment(tmp_path, capsys, line):
+    # exit 2 with the line's error and no output file, on each experiment,
+    # whether a RuntimeWarning is a warning or an error
+    fragment = dict(_BAD_CONFIG)[line]
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
-    rc = cli.main(["kgr_vs_power", "--preset", "desk", "--trials", "1",
-                   "--config", str(bad), "--out", str(tmp_path / "run")])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "results.csv").exists()
+    experiments = ["kgr_vs_power"]
+    if line not in _KEY_RATE_ONLY:
+        experiments.append("bdr_vs_power")
+    for experiment in experiments:
+        for action in ("default", "error"):
+            out = tmp_path / f"{experiment}_{action}"
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                rc = cli.main([experiment, "--preset", "desk", "--trials", "1",
+                               "--config", str(bad), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 2, (experiment, action)
+            assert "config error: " in err and fragment in err, (
+                experiment, action, err)
+            assert not any(out.glob("*")), (experiment, action)
 
 
+@pytest.mark.parametrize("line", [line for line, _ in _BAD_CONFIG],
+                         ids=[line for line, _ in _BAD_CONFIG])
+def test_cli_rejects_bad_config(tmp_path, capsys, line):
+    _exits_2_on_every_experiment(tmp_path, capsys, line)
+
+
+# Seven lines of _BAD_CONFIG, also run under the names of the tests they
+# first had
 def test_bdr_rejects_an_overflowing_fixed_link(tmp_path, capsys):
-    # probing reads no key rate, so the fixed links' gains are checked where
-    # they are computed
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("pl_exp_ris_bob = -1000\n")
-    rc = cli.main(["bdr_vs_power", "--preset", "desk", "--trials", "1",
-                   "--config", str(bad), "--out", str(tmp_path / "run")])
-    assert rc == 2
-    assert "path gain overflows" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "bdr.csv").exists()
+    _exits_2_on_every_experiment(tmp_path, capsys, "pl_exp_ris_bob = -1000")
 
 
 @pytest.mark.parametrize("line", ["ris_spacing_wavelengths = 1e300",
                                   "wavelength_m = 1e300"])
 def test_bdr_rejects_an_overflowing_surface_geometry(tmp_path, capsys, line):
-    # the surface's element distances overflow a float: the config is
-    # rejected when it is built, before the surface correlation is computed
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(line + "\n")
-    rc = cli.main(["bdr_vs_power", "--preset", "desk", "--trials", "1",
-                   "--config", str(bad), "--out", str(tmp_path / "run")])
-    assert rc == 2
-    assert "surface element distances overflow" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "bdr.csv").exists()
+    _exits_2_on_every_experiment(tmp_path, capsys, line)
 
 
 @pytest.mark.parametrize("line", [
@@ -799,44 +845,7 @@ def test_bdr_rejects_an_overflowing_surface_geometry(tmp_path, capsys, line):
 ])
 def test_a_wavelength_too_small_for_the_arithmetic_exits_2(tmp_path, capsys,
                                                            line):
-    # the element spacing in metres squares to a subnormal or to 0, which
-    # makes R_ris wrong or all ones, or Eve's phase 2 pi d / lambda
-    # overflows: rejected when the config is built, whichever experiment
-    # runs and whether or not a RuntimeWarning is an error
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(line + "\n")
-    for experiment in ("kgr_vs_power", "bdr_vs_power"):
-        for action in ("default", "error"):
-            out = tmp_path / f"{experiment}_{action}"
-            with warnings.catch_warnings():
-                warnings.simplefilter(action, RuntimeWarning)
-                rc = cli.main([experiment, "--preset", "desk", "--trials", "1",
-                               "--config", str(bad), "--out", str(out)])
-            assert rc == 2, (experiment, action)
-            assert "too small" in capsys.readouterr().err
-            assert not out.exists()
-
-
-def test_bdr_rejects_an_overflowing_probe_power(tmp_path, capsys):
-    # 2000 dBm is 1e197 W: the designs and gains are finite, the probe's
-    # observations are not; with RuntimeWarning as an error it still exits 2
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("sweep_power_dbm = 10, 2000\n")
-    args = ["bdr_vs_power", "--preset", "desk", "--trials", "1",
-            "--config", str(bad)]
-    assert cli.main([*args, "--out", str(tmp_path / "here")]) == 2
-    assert "probe observations are not finite" in capsys.readouterr().err
-    assert not (tmp_path / "here" / "bdr.csv").exists()
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cm.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    strict = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ris_skg.cli",
-         *args, "--out", str(tmp_path / "strict")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert strict.returncode == 2, strict.stderr
-    assert "probe observations are not finite" in strict.stderr
-    assert not (tmp_path / "strict" / "bdr.csv").exists()
+    _exits_2_on_every_experiment(tmp_path, capsys, line)
 
 
 def test_cli_rejects_config_that_is_not_utf8(tmp_path, capsys):
