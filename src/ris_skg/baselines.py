@@ -2,9 +2,10 @@
 
 Each design method maps a correlation set, seeds and a trial count to the
 combiner/reflection pairs of a sweep point's trials: ``(w, v)`` with ``w``
-of shape (trials, M) and ``v`` of shape (trials, N), one row per trial.  A
-design reads only R_bs, R_ris and the powers, never the eavesdropper's
-draw, so any draw of the point gives the same rows.  The deterministic
+of shape (trials, M) and ``v`` of shape (trials, N), one row per trial.
+The harness passes the point's ``channel_model.point_statistics``: R_bs,
+R_ris, the fixed links and the powers, with no eavesdropper (K = 0), so
+no draw of Eve can change a design's rows.  The deterministic
 methods compute one design and broadcast it to read-only rows; the
 stochastic ones draw every row from one generator,
 ``np.random.default_rng(seeds)``, so ``seeds`` is anything that accepts: a

@@ -302,7 +302,6 @@ def ris_correlation(shape, spacing_m, wavelength_m):
 # for x < 20: the rule is exact to rounding.
 _J0_SPLIT = 20.0
 _J0_SIN = np.sin(np.pi * np.arange(48) / 48)
-_J0_MEAN = np.full(48, 1.0 / 48)
 
 
 def _hankel_coefficients(terms):
@@ -332,17 +331,20 @@ def bessel_j0(x):
     1e-15 of scipy.special.j0.  From 20 on the Hankel expansion
     sqrt(2 / (pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)), so that
     J0(inf) = 0 without a warning; below 20 a trapezoid rule on its
-    integral, evaluated for those arguments only."""
+    integral, evaluated for those arguments only.  Both series are summed
+    per element, not by a matrix product, whose order of summation can
+    change with the number of arguments, so no value depends on the
+    others in the call."""
     x = np.abs(np.asarray(x, dtype=float))
     far = np.maximum(x, _J0_SPLIT)
-    pq = far[..., None] ** _J0_POWERS @ _J0_HANKEL
+    pq = np.einsum("...k,kj->...j", far[..., None] ** _J0_POWERS, _J0_HANKEL)
     # inf as the largest float keeps cos and sin finite; its amplitude is 0
     chi = np.minimum(far, _FLOAT_MAX) - np.pi / 4
     out = pq[..., 0] * np.cos(chi) - pq[..., 1] * np.sin(chi)
     near = x < _J0_SPLIT
     if near.any():
         out = np.asarray(out)     # a NumPy scalar for a 0-d x
-        out[near] = np.cos(x[near][:, None] * _J0_SIN) @ _J0_MEAN
+        out[near] = np.cos(x[near][:, None] * _J0_SIN).sum(axis=-1) / 48
     return out
 
 
@@ -514,6 +516,14 @@ def _shared_draw(config):
     eve_exponents = _frozen(np.array([[config.pl_exp_alice_eve],
                                       [config.pl_exp_ris_eve]]))
     return corr, ends, eve_exponents
+
+
+def point_statistics(config):
+    """What a design may read of a sweep point: the read-only
+    CorrelationSet its draws share, with no eavesdropper (K = 0), built
+    once per config (``_shared_draw``'s cache).  A fixed link's gain that
+    overflows raises ConfigError."""
+    return _shared_draw(config)[0]
 
 
 def build_correlations(config, rng):

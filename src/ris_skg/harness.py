@@ -36,7 +36,7 @@ from . import __version__
 from .baselines import DESIGN_METHODS
 from .channel_model import (ConfigError, ScenarioConfig, build_correlations,
                             config_hash, dbm_to_watts, parse_config_values,
-                            simulate_probing, sweep_value)
+                            point_statistics, simulate_probing, sweep_value)
 from .kgr_core import min_kgr_bits
 
 RESULTS_SCHEMA = 2
@@ -236,7 +236,9 @@ EXPERIMENTS = {
 
 def _sweep_configs(cfg, experiment):
     """(sweep value for the CSV, config) for each point of the experiment's
-    sweep; ConfigError if a method is unknown or the sweep is empty."""
+    sweep; ConfigError if a method is unknown, the sweep is empty or an
+    entry makes a bad config, which the message names by field and entry
+    as a config file writes it."""
     for name in cfg.methods:
         if name not in DESIGN_METHODS:
             raise ConfigError(
@@ -246,7 +248,14 @@ def _sweep_configs(cfg, experiment):
     if not values:
         raise ConfigError(f"experiment {experiment!r} requires config key "
                           f"{spec.sweeps}")
-    return [(sweep_value(x), spec.point(cfg, x)) for x in values]
+    points = []
+    for x in values:
+        try:
+            points.append((sweep_value(x), spec.point(cfg, x)))
+        except ConfigError as exc:
+            entry = "x".join(map(str, x)) if isinstance(x, tuple) else _fmt(x)
+            raise ConfigError(f"{spec.sweeps} entry {entry}: {exc}") from exc
+    return points
 
 
 def _probe_records(corrs, w, v, seeds, rounds):
@@ -293,14 +302,16 @@ def _design_seeds(sub, si, method):
     return [sub.seed, si, *method.encode(), 2]
 
 
-def _designs(sub, si, first):
-    """A sweep point's designs from its first draw, one call per method:
-    each method's (w, v) stacks, one row per trial, and its call time in
-    milliseconds divided by ``trials``.  A design reads no draw's
-    eavesdropper, so any draw of the point would give the same rows."""
+def _designs(sub, si):
+    """A sweep point's designs, one call per method on the point's
+    eavesdropper-free statistics (``point_statistics``): each method's
+    (w, v) stacks, one row per trial, and its call time in milliseconds
+    divided by ``trials``.  A design is given no eavesdropper to read, so
+    no draw of the point can change its rows."""
+    stats = point_statistics(sub)
     out = []
     for method in sub.methods:
-        (w, v), ms = _timed(DESIGN_METHODS[method], first,
+        (w, v), ms = _timed(DESIGN_METHODS[method], stats,
                             _design_seeds(sub, si, method), sub.trials)
         out.append((w, v, ms / sub.trials))
     return out
@@ -331,19 +342,17 @@ def _run_sweep(cfg, experiment):
     """The one sweep driver: an experiment's rows and timing rows.
 
     Every point's config is built, and so checked, first; then each
-    point's first draw and, from it, the point's designs.  Each group of
-    draws is drawn just before the one call that evaluates it: a key-rate
-    point's trials in ``_rates``, or a probing trial's points in
-    ``_probe_records`` from the trial's stream ``[seed, trial, 1]``, whose
-    2 x points x methods x rounds complex outputs are alive at once.  The
-    points share the sweep's trials, methods and probe rounds.  Rows come
-    out in (point, trial, method) order.  A timing row is its design's time
-    per trial plus its share of the call that evaluated it: the call's wall
-    time divided by the rows it evaluated."""
+    point's designs.  Every trial is drawn alike, once per point, just
+    before the one call that evaluates it: a key-rate point's trials in
+    ``_rates``, or a probing trial's points in ``_probe_records`` from the
+    trial's stream ``[seed, trial, 1]``, whose 2 x points x methods x
+    rounds complex outputs are alive at once.  The points share the
+    sweep's trials, methods and probe rounds.  Rows come out in (point,
+    trial, method) order.  A timing row is its design's time per trial
+    plus its share of the call that evaluated it: the call's wall time
+    divided by the rows it evaluated."""
     points = _sweep_configs(cfg, experiment)
-    firsts = [_draw(sub, 0) for _, sub in points]
-    designs = [_designs(sub, si, first)
-               for si, ((_, sub), first) in enumerate(zip(points, firsts))]
+    designs = [_designs(sub, si) for si, (_, sub) in enumerate(points)]
     # (point, trial) -> each method's record, and each row's share of the
     # call that evaluated it
     evaluated = {}
@@ -352,8 +361,7 @@ def _run_sweep(cfg, experiment):
         stack = [design for point in designs for design in point]
         width = len(base.methods)
         for trial in range(base.trials):
-            draws = firsts if trial == 0 else [_draw(sub, trial)
-                                              for _, sub in points]
+            draws = [_draw(sub, trial) for _, sub in points]
             records, ms = _timed(
                 _probe_records,
                 [corr for corr in draws for _ in base.methods],
@@ -364,9 +372,8 @@ def _run_sweep(cfg, experiment):
                 evaluated[si, trial] = (records[si * width:(si + 1) * width],
                                         ms / len(records))
     else:
-        for si, ((sval, sub), first) in enumerate(zip(points, firsts)):
-            draws = [first, *(_draw(sub, trial)
-                              for trial in range(1, sub.trials))]
+        for si, (sval, sub) in enumerate(points):
+            draws = [_draw(sub, trial) for trial in range(sub.trials)]
             rates, ms = _timed(_rates, sval, draws, designs[si])
             share_ms = ms / (sub.trials * len(sub.methods))
             for trial in range(sub.trials):

@@ -310,6 +310,16 @@ def test_bessel_j0_matches_scipy(x):
     assert np.array_equal(cm.bessel_j0(-x), got)
 
 
+def test_bessel_j0_of_an_argument_does_not_depend_on_its_neighbours():
+    # an antenna's rho must not change with the other antennas of its
+    # call: every element of an array, on either side of the split at 20,
+    # is the value of the call on that argument alone, bit for bit
+    x = np.random.default_rng(29).uniform(0.0, 60.0, (400, 10))
+    got = cm.bessel_j0(x)
+    assert np.array_equal(got, [[cm.bessel_j0(v) for v in row] for row in x])
+    assert np.array_equal(got, [cm.bessel_j0(row) for row in x])
+
+
 def test_bessel_j0_is_zero_at_infinity():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -665,7 +675,7 @@ def _paper_trial_stack():
     corrs, ws, vs = [], [], []
     for si, (_, sub) in enumerate(hn._sweep_configs(cfg, "bdr_vs_power")):
         draw = hn._draw(sub, 0)
-        for w, v, _ in hn._designs(sub, si, draw):
+        for w, v, _ in hn._designs(sub, si):
             corrs.append(draw)
             ws.append(w[0])
             vs.append(v[0])
@@ -707,7 +717,7 @@ def test_probe_memory_beyond_its_outputs_is_under_one_block(blocks):
     # one block of exponentials at most, whatever the number of rounds
     cfg = build_config("paper", "ris_shape = 5x12", trials=1)
     corr = cm.build_correlations(cfg, np.random.default_rng(0))
-    designs = hn._designs(cfg, 0, corr)
+    designs = hn._designs(cfg, 0)
     ws = np.stack([w[0] for w, _, _ in designs])
     vs = np.stack([v[0] for _, v, _ in designs])
     rounds = blocks * cm._PROBE_BLOCK + 1

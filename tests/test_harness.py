@@ -558,6 +558,25 @@ def test_each_method_gives_the_same_rows_on_every_draw():
                 assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
 
+def test_every_design_receives_no_eavesdropper(tmp_path, monkeypatch):
+    # a design may read no eavesdropper, so it is given none: every call
+    # of every method, in every experiment, gets a set with K = 0, once
+    # per sweep point
+    seen = []
+    for method, design in hn.DESIGN_METHODS.items():
+        def recorded(corr, seeds, trials, _design=design):
+            seen.append(corr.n_eve)
+            return _design(corr, seeds, trials)
+
+        monkeypatch.setitem(hn.DESIGN_METHODS, method, recorded)
+    cfg = _tiny_cfg(methods=tuple(hn.DESIGN_METHODS))
+    for experiment in hn.EXPERIMENTS:
+        seen.clear()
+        hn.run_experiment(experiment, cfg, str(tmp_path / experiment))
+        points = len(hn._sweep_configs(cfg, experiment))
+        assert seen == [0] * points * len(cfg.methods), experiment
+
+
 def test_methods_of_a_trial_share_their_probe_draws(tmp_path):
     # optimized, statistical and subgradient make one design, so probed
     # from a trial's shared draws their rows differ only in the method
@@ -748,7 +767,14 @@ _BAD_CONFIG = [
     ("power_alice_dbm = 1e6", "power_alice_w must be finite"),
     ("noise_dbm = 1e6", "noise_power_w must be finite"),
     ("ref_gain_db = 1e6", "ref_gain must be finite"),
-    ("sweep_power_dbm = 10, 1e6", "power_alice_w must be finite"),
+    ("sweep_power_dbm = 10, 1e6",
+     "sweep_power_dbm entry 1000000: power_alice_w must be finite"),
+    ("sweep_ris_shapes = 5x4, 0x3",
+     "sweep_ris_shapes entry 0x3: array shapes must have positive"),
+    ("sweep_bs_shapes = 5x1, 0x2",
+     "sweep_bs_shapes entry 0x2: array shapes must have positive"),
+    ("sweep_eve_radius_m = 1, -2",
+     "sweep_eve_radius_m entry -2: eve_radius_m must be non-negative"),
     ("sweep_power_dbm = 10, 10", "sweep_power_dbm repeats a value"),
     ("sweep_ris_shapes = 5x4, 4x5", "sweep_ris_shapes repeats a value"),
     ("sweep_bs_shapes = 5x2, 2x5", "sweep_bs_shapes repeats a value"),
@@ -785,14 +811,20 @@ _BAD_CONFIG = [
      "are too small"),
 ]
 
-# Probing reads no key rate, and on these lines its observations stay
-# finite, so bdr_vs_power rightly writes its rows; only the rate formula
-# leaves the float range.
-_KEY_RATE_ONLY = {
-    # gains near 1e147: their products in the rate overflow
-    "ref_gain = 1e300",
-    # a subnormal noise power: the rate's signal-to-noise ratios overflow
-    "noise_power_w = 1e-320",
+# The experiments a line runs through, where not both power sweeps
+# (kgr_vs_power and bdr_vs_power).
+_ONLY_ON = {
+    # Probing reads no key rate, and on these two lines its observations
+    # stay finite, so bdr_vs_power rightly writes its rows; only the rate
+    # formula leaves the float range: gains near 1e147, whose products in
+    # the rate overflow, and a subnormal noise power, which overflows the
+    # rate's signal-to-noise ratios.
+    "ref_gain = 1e300": ("kgr_vs_power",),
+    "noise_power_w = 1e-320": ("kgr_vs_power",),
+    # a sweep entry makes a config only where its field is swept
+    "sweep_ris_shapes = 5x4, 0x3": ("kgr_vs_n",),
+    "sweep_bs_shapes = 5x1, 0x2": ("kgr_vs_m",),
+    "sweep_eve_radius_m = 1, -2": ("kgr_vs_eve_radius",),
 }
 
 
@@ -802,9 +834,7 @@ def _exits_2_on_every_experiment(tmp_path, capsys, line):
     fragment = dict(_BAD_CONFIG)[line]
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
-    experiments = ["kgr_vs_power"]
-    if line not in _KEY_RATE_ONLY:
-        experiments.append("bdr_vs_power")
+    experiments = _ONLY_ON.get(line, ("kgr_vs_power", "bdr_vs_power"))
     for experiment in experiments:
         for action in ("default", "error"):
             out = tmp_path / f"{experiment}_{action}"
