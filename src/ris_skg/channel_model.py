@@ -664,21 +664,20 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
     The exponentials, the legitimate scalars and Eve's scalars come from
     three streams spawned from ``rng``, each drawn round by round and
     shared by every point, so the output does not depend on ``eve``.
-    With a point's surface off (v = 0) its lambda_i are all zero, so its
-    ||u||^2 = 0 and its g is one number; when every point's is, the
-    exponentials are not drawn.  The other two streams are unchanged
-    either way.
+    Every point takes the same path: with its surface off (v = 0) its
+    lambda_i are all zero, so its ||u||^2 row is exactly 0.
 
-    Memory: each output holds P x rounds values (Eve's P x rounds x K),
-    and the points' ||u||^2 up to P x rounds reals.  Beyond those a call
-    works on one block of ``_PROBE_BLOCK`` rounds at a time, whatever
-    ``rounds``: first every ||u||^2, from block x N exponentials at a
-    time, each dropped before the next is drawn and before the outputs
-    are made; then the outputs, from block x (4 + K) normals at a time.
-    Without Eve at N = 60 that stays under block x N x 8 bytes (1.97 MB).
-    One pass, a block's exponentials drawn beside the outputs, was slower
-    on the ``paper_probing`` benchmark (2-core box): 241-254 trials/s
-    against 272-319, 3 of 3 alternated pairs, with 7% more page faults.
+    Memory: Alice's and Bob's outputs are one block of 2 x P x rounds
+    values, Eve's P x rounds x K, and the points' ||u||^2 P x rounds
+    reals.  Beyond those a call works on one block of ``_PROBE_BLOCK``
+    rounds at a time, whatever ``rounds``: first every ||u||^2, from
+    block x N exponentials at a time, each dropped before the next is
+    drawn and before the outputs are made; then the outputs, from
+    block x (4 + K) normals at a time.  Without Eve at N = 60 that stays
+    under block x N x 8 bytes (1.97 MB), which
+    ``test_probe_memory_beyond_its_outputs_is_under_one_block`` checks;
+    one pass, a block's exponentials drawn beside the outputs, fails that
+    bound, so the two passes stay.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -694,19 +693,17 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
     n_eve = corrs[0].n_eve
     exp_rng, leg_rng, eve_rng = rng.spawn(3)
 
-    u_sqs = [np.empty(rounds) if pt.lam.any() else None for pt in points]
-    if any(u_sq is not None for u_sq in u_sqs):
-        for start in range(0, rounds, _PROBE_BLOCK):
-            sl = slice(start, min(start + _PROBE_BLOCK, rounds))
-            exps = exp_rng.standard_exponential((sl.stop - start,
-                                                 corrs[0].n_ris))
-            for u_sq, pt in zip(u_sqs, points):
-                if u_sq is not None:
-                    u_sq[sl] = exps @ pt.lam
-            del exps
+    u_sqs = np.empty((len(points), rounds))
+    for start in range(0, rounds, _PROBE_BLOCK):
+        sl = slice(start, min(start + _PROBE_BLOCK, rounds))
+        exps = exp_rng.standard_exponential((sl.stop - start, corrs[0].n_ris))
+        for u_sq, pt in zip(u_sqs, points):
+            u_sq[sl] = exps @ pt.lam
+        del exps
 
-    out_a = np.empty((len(points), rounds), dtype=complex)
-    out_b = np.empty((len(points), rounds), dtype=complex)
+    # one allocation, not two: two took page faults afresh on every call
+    # (observed with glibc malloc; see the memory test)
+    out_a, out_b = np.empty((2, len(points), rounds), dtype=complex)
     out_e = (np.empty((len(points), rounds, n_eve), dtype=complex) if eve
              else None)
     for start in range(0, rounds, _PROBE_BLOCK):
@@ -714,8 +711,8 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
         b = sl.stop - start
         z_1, z_2 = _cn(leg_rng, b, 2).T
         z = _cn(eve_rng, b, 2 + n_eve) if eve else None
-        for p, (pt, row) in enumerate(zip(points, u_sqs)):
-            u_sq = 0.0 if row is None else row[sl]
+        for p, pt in enumerate(points):
+            u_sq = u_sqs[p, sl]
             sig2, pb, w_sq, x_d = pt.sig2, pt.pb, pt.w_sq, pt.x_d
             g = pt.beta_rb * u_sq + x_d * x_d
             tot = g + sig2
@@ -737,7 +734,7 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
             direct_d = pt.direct * (z[:, 1] + x_d * shift)  # D d
             # built in place in the output rows: no (b, K) temporary sums
             e = out_e[p, sl]
-            np.multiply(np.sqrt(np.reshape(u_sq, (-1, 1)) * pt.fresh_u
+            np.multiply(np.sqrt(u_sq[:, None] * pt.fresh_u
                                 + pt.fresh_0), z[:, 2:], out=e)
             e += cascade[:, None] * pt.eve_cascade
             e += direct_d[:, None] * pt.eve_direct

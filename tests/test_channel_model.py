@@ -732,6 +732,10 @@ def test_probe_memory_beyond_its_outputs_is_under_one_block(blocks):
     u_rows = np.count_nonzero(vs.any(axis=1)) * rounds * 8
     assert peak - alice.nbytes - bob.nbytes - u_rows < (
         cm._PROBE_BLOCK * corr.n_ris * 8)
+    # Alice's and Bob's outputs are one allocation.  With two, the 12-block
+    # call took about 1400 minor page faults on every repeat (getrusage,
+    # after three warm-up calls); with one it took none
+    assert alice.base is not None and alice.base is bob.base
 
 
 def test_stacked_probe_rejects_points_that_cannot_share_draws():

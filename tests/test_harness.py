@@ -68,7 +68,8 @@ def test_quantizer_median_split():
     assert bits.sum() == 2  # two values above the median
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 10, 11, 1000, 1001])
+@pytest.mark.parametrize("size", [1, 2, 3, 10, 11, 1000, 1001, 10000,
+                                  10001])
 def test_quantizer_threshold_is_numpy_median(size):
     rng = np.random.default_rng(size)
     for values in (rng.standard_normal(size) ** 2,
@@ -85,9 +86,9 @@ def test_quantizer_warns_on_constant_input():
 
 @pytest.mark.parametrize("size", [1, 2, 999, 1000, 10001])
 def test_quantizer_and_frequency_test_match_their_old_formulas(size):
-    # the frequency test counts ones and the quantizer checks for a
-    # constant sequence at the ends of its sorted copy; the p-value and the
-    # warning are those of the sum of 2b - 1 and of max == min
+    # the frequency test counts ones and the quantizer compares the
+    # sequence's extremes; the p-value and the warning are those of the sum
+    # of 2b - 1 and of max == min
     rng = np.random.default_rng(size)
     for p_one in (0.5, 0.45, 0.0, 1.0):
         bits = (rng.uniform(size=size) < p_one).astype(np.int8)
