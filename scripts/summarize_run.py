@@ -25,17 +25,32 @@ METRICS = ("min_kgr_bits", "bdr", "milliseconds")
 
 def _cells(path):
     """(experiment, metric, row count, {(sweep value, method): values});
-    ValueError for a file with no rows or no known metric column."""
-    rows = read_csv_rows(path)
+    ValueError, naming the file, for a file that cannot be read, has no
+    rows, lacks the sweep_value, method or a known metric column, or holds
+    a metric value that is not a finite number."""
+    try:
+        rows = read_csv_rows(path)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    missing = {"sweep_value", "method"} - rows[0].keys()
+    if missing:
+        raise ValueError(f"{path}: no {' or '.join(sorted(missing))} column")
     metric = next((m for m in METRICS if m in rows[0]), None)
     if metric is None:
         raise ValueError(
             f"{path}: no known metric column in {sorted(rows[0])}")
     groups = defaultdict(list)
-    for row in rows:
-        groups[(row["sweep_value"], row["method"])].append(float(row[metric]))
+    for n, row in enumerate(rows, 1):
+        try:
+            value = float(row[metric])
+        except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: data row {n}: {metric} "
+                             f"{row[metric]!r} is not a finite number")
+        groups[(row["sweep_value"], row["method"])].append(value)
     return rows[0].get("experiment", "?"), metric, len(rows), groups
 
 

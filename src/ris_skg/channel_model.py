@@ -475,19 +475,18 @@ def draw_eve_positions(config, rng):
     return pos
 
 
-# a probing sweep draws each trial at every sweep point in turn, so the
-# cache holds a long sweep's points
+# a run asks for a point's set only while it visits that point, so it
+# builds each point once at any sweep length; the other entries serve
+# callers outside a run
 @lru_cache(maxsize=64)
-def _shared_draw(config):
-    """What every Eve draw of one config shares, built once and keyed on
-    the config itself (an immutable value, checked when it was built): a
-    CorrelationSet with the arrays' statistics, the fixed links' gains and
-    the powers but no eavesdropper; the positions of Alice, the surface and
-    Bob as the rows of one (3, 3) array; and the path-loss exponents of the
-    Alice-Eve and surface-Eve links as a (2, 1) column.  Every array the
-    draws share is read-only: both matrices, their decompositions and
-    R_ris o R_ris.  A fixed link's gain that overflows raises
-    ConfigError."""
+def point_statistics(config):
+    """What every draw of a sweep point shares, and all a design may read of
+    it: a read-only CorrelationSet with the arrays' statistics, the fixed
+    links' gains and the powers, but no eavesdropper (K = 0).  It is built
+    once per config, keyed on the config itself (an immutable value,
+    checked when it was built): both matrices, their decompositions and
+    R_ris o R_ris are read-only.  A fixed link's gain that overflows
+    raises ConfigError."""
     alice = np.asarray(config.alice_pos)
     bob = np.asarray(config.bob_pos)
     ris = np.asarray(config.ris_pos)
@@ -512,34 +511,27 @@ def _shared_draw(config):
     if not _finite((corr.beta_ab, corr.beta_ar, corr.beta_rb)):
         raise ConfigError("a fixed link's path gain overflows: check the "
                           "pl_exp_* exponents and ref_gain")
-    ends = _frozen(np.array([alice, ris, bob]))
-    eve_exponents = _frozen(np.array([[config.pl_exp_alice_eve],
-                                      [config.pl_exp_ris_eve]]))
-    return corr, ends, eve_exponents
-
-
-def point_statistics(config):
-    """What a design may read of a sweep point: the read-only
-    CorrelationSet its draws share, with no eavesdropper (K = 0), built
-    once per config (``_shared_draw``'s cache).  A fixed link's gain that
-    overflows raises ConfigError."""
-    return _shared_draw(config)[0]
+    return corr
 
 
 def build_correlations(config, rng):
-    """Assemble a CorrelationSet for one Monte-Carlo trial.
+    """Assemble a CorrelationSet for one Monte-Carlo trial: the point's
+    ``point_statistics`` with an eavesdropper added.
 
-    The only randomness is Eve's placement; everything else is determined
-    by the config and built once per distinct config (the last 64 are
-    memoized), so a trial pays for Eve's draw alone.  An eavesdropper's
-    path gain that overflows raises ConfigError, as a fixed link's does.
+    The only randomness is Eve's placement.  The positions of Alice, the
+    surface and Bob, and the path-loss exponents of Eve's two links, are
+    read from the config.  An eavesdropper's path gain that overflows
+    raises ConfigError, as a fixed link's does.
     """
-    shared, ends, eve_exponents = _shared_draw(config)
-    diff = draw_eve_positions(config, rng) - ends[:, None]
+    shared = point_statistics(config)
+    diff = draw_eve_positions(config, rng) - np.array(
+        [config.alice_pos, config.ris_pos, config.bob_pos])[:, None]
     # each antenna's distance to Alice, the surface and Bob, as
     # np.linalg.norm computes it
     dist = np.sqrt(np.add.reduce(diff * diff, -1))
-    gains = path_loss_gain(dist[:2], eve_exponents, config.ref_gain)
+    gains = path_loss_gain(
+        dist[:2], [[config.pl_exp_alice_eve], [config.pl_exp_ris_eve]],
+        config.ref_gain)
     if not np.isfinite(gains).all():
         raise ConfigError("an eavesdropper's path gain overflows: check the "
                           "pl_exp_* exponents and ref_gain")

@@ -343,43 +343,48 @@ def _rates(sval, draws, designs):
 def _run_sweep(cfg, experiment):
     """The one sweep driver: an experiment's rows and timing rows.
 
-    Every point's config is built, and so checked, first; then each
-    point's designs.  Every trial is drawn alike, once per point, just
-    before the one call that evaluates it: a key-rate point's trials in
-    ``_rates``, or a probing trial's points in ``_probe_records`` from the
-    trial's stream ``[seed, trial, 1]``, whose 2 x points x methods x
+    Every point's config is built, and so checked, first.  Then one pass
+    visits each point once, so a run decomposes its matrices once at any
+    sweep length: its statistics (``point_statistics``), its designs and
+    every trial's draw, and for a key-rate point the ``_rates`` call that
+    evaluates them all.  A probing sweep then probes each trial's points
+    in one ``_probe_records`` call, on their statistics and from the
+    trial's stream ``[seed, trial, 1]``; its 2 x points x methods x
     rounds complex outputs are alive at once.  The points share the
     sweep's trials, methods and probe rounds.  Rows come out in (point,
     trial, method) order.  A timing row is its design's time per trial
     plus its share of the call that evaluated it: the call's wall time
     divided by the rows it evaluated."""
     points = _sweep_configs(cfg, experiment)
-    designs = [_designs(sub, si) for si, (_, sub) in enumerate(points)]
-    # (point, trial) -> each method's record, and each row's share of the
-    # call that evaluated it
-    evaluated = {}
-    if EXPERIMENTS[experiment].probes:
+    probes = EXPERIMENTS[experiment].probes
+    # each design's statistics, each point's designs, and (point, trial)
+    # -> each method's record with each row's share of the call that
+    # evaluated it
+    corrs, designs, evaluated = [], [], {}
+    for si, (sval, sub) in enumerate(points):
+        corrs += [point_statistics(sub)] * len(sub.methods)
+        designs.append(_designs(sub, si))
+        # the probe reads no eavesdropper: on a probing sweep these draws
+        # only check Eve's gains (an overflow exits 2), and the benchmark's
+        # perfbench/tests/test_perfbench.py:98 counts them too
+        draws = [_draw(sub, trial) for trial in range(sub.trials)]
+        if not probes:
+            rates, ms = _timed(_rates, sval, draws, designs[si])
+            for trial in range(sub.trials):
+                evaluated[si, trial] = rates[trial], ms / rates.size
+    if probes:
         _, base = points[0]
         stack = [design for point in designs for design in point]
         width = len(base.methods)
         for trial in range(base.trials):
-            draws = [_draw(sub, trial) for _, sub in points]
             records, ms = _timed(
-                _probe_records,
-                [corr for corr in draws for _ in base.methods],
+                _probe_records, corrs,
                 np.stack([w[trial] for w, _, _ in stack]),
                 np.stack([v[trial] for _, v, _ in stack]),
                 [base.seed, trial, 1], base.probe_rounds)
             for si in range(len(points)):
                 evaluated[si, trial] = (records[si * width:(si + 1) * width],
                                         ms / len(records))
-    else:
-        for si, (sval, sub) in enumerate(points):
-            draws = [_draw(sub, trial) for trial in range(sub.trials)]
-            rates, ms = _timed(_rates, sval, draws, designs[si])
-            share_ms = ms / (sub.trials * len(sub.methods))
-            for trial in range(sub.trials):
-                evaluated[si, trial] = rates[trial], share_ms
     rows, timings = [], []
     for si, (sval, sub) in enumerate(points):
         for trial in range(sub.trials):

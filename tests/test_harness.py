@@ -407,7 +407,7 @@ def test_sweep_decomposes_each_correlation_matrix_once(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     cfg = _tiny_cfg(trials=10, sweep_power_dbm=(10.0, 20.0, 30.0))
     for experiment in ("kgr_vs_n", "kgr_vs_power"):
-        cm._shared_draw.cache_clear()
+        cm.point_statistics.cache_clear()
         calls.clear()
         hn.run_experiment(experiment, cfg, str(tmp_path / experiment))
         points = list(hn._sweep_configs(cfg, experiment))
@@ -416,8 +416,9 @@ def test_sweep_decomposes_each_correlation_matrix_once(tmp_path, monkeypatch):
 
 def test_a_long_probing_sweep_decomposes_each_point_once(tmp_path,
                                                         monkeypatch):
-    # a probing sweep draws each trial at every point in turn, so a sweep
-    # longer than a small memo would decompose its matrices at every draw
+    # a run visits each point once, so a sweep longer than the statistics
+    # cache (64 configs) still decomposes each point's matrices once, on a
+    # probing sweep as on a key-rate one
     calls = []
     real = np.linalg.eigh
 
@@ -426,12 +427,14 @@ def test_a_long_probing_sweep_decomposes_each_point_once(tmp_path,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    powers = tuple(float(p) for p in range(0, 45, 5))
+    powers = tuple(10.0 + 0.25 * i for i in range(70))
     cfg = _tiny_cfg(trials=3, probe_rounds=50, methods=("no_ris",),
                     sweep_power_dbm=powers)
-    cm._shared_draw.cache_clear()
-    hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
-    assert len(calls) == 2 * len(powers)
+    for experiment in ("bdr_vs_power", "kgr_vs_power"):
+        cm.point_statistics.cache_clear()
+        calls.clear()
+        hn.run_experiment(experiment, cfg, str(tmp_path / experiment))
+        assert len(calls) == 2 * len(powers), experiment
 
 
 def test_batched_rates_equal_per_call_rates(tmp_path):
@@ -576,6 +579,23 @@ def test_every_design_receives_no_eavesdropper(tmp_path, monkeypatch):
         hn.run_experiment(experiment, cfg, str(tmp_path / experiment))
         points = len(hn._sweep_configs(cfg, experiment))
         assert seen == [0] * points * len(cfg.methods), experiment
+
+
+def test_the_probe_receives_no_eavesdropper(tmp_path, monkeypatch):
+    # the probe draws no eavesdropper (eve=False), so it is given the
+    # points' statistics, which hold none: every set it receives has K = 0
+    seen = []
+    real = hn.simulate_probing
+
+    def recorded(corrs, *args, **kwargs):
+        seen.extend(corr.n_eve for corr in corrs)
+        return real(corrs, *args, **kwargs)
+
+    monkeypatch.setattr(hn, "simulate_probing", recorded)
+    cfg = _tiny_cfg(trials=2, methods=tuple(hn.DESIGN_METHODS))
+    hn.run_experiment("bdr_vs_power", cfg, str(tmp_path))
+    points = len(hn._sweep_configs(cfg, "bdr_vs_power"))
+    assert seen == [0] * cfg.trials * points * len(cfg.methods)
 
 
 def test_methods_of_a_trial_share_their_probe_draws(tmp_path):

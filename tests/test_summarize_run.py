@@ -90,3 +90,15 @@ def test_a_file_without_rows_or_metric_exits_1(tmp_path, capsys):
     other = _csv(tmp_path / "other.csv", "seconds", [(10, "optimized", 1.0)])
     rc, _, err = _run(capsys, other)
     assert rc == 1 and "no known metric column" in err
+    # each of these once ended in a traceback: FileNotFoundError, KeyError,
+    # and statistics.stdev's AttributeError on a nan (Python 3.11); now
+    # each is one line naming the file
+    no_method = tmp_path / "no_method.csv"
+    no_method.write_text("sweep_value,bdr\n10,0.1\n", encoding="utf-8")
+    nan = _csv(tmp_path / "nan.csv", "bdr",
+               [(10, "optimized", 0.1), (10, "optimized", "nan")])
+    for path, message in (
+            (tmp_path / "missing.csv", "No such file or directory"),
+            (no_method, "no method column"),
+            (nan, "data row 2: bdr 'nan' is not a finite number")):
+        assert _run(capsys, str(path)) == (1, "", f"{path}: {message}\n")
