@@ -397,7 +397,8 @@ class CorrelationSet:
     attributes, what the design, the key rate and probing read: one
     decomposition of each matrix, ``bs_eigh``/``ris_eigh`` (eigenvalues
     ascending, eigenvectors; the PSD check and the probe's cascade factor
-    read them too), and ``ris_had`` = R_ris o R_ris.
+    read them too), and ``ris_had`` = R_ris o R_ris.  One set is built per
+    geometry, and copies made by ``with_values`` share these arrays.
     """
 
     bs_corr: np.ndarray
@@ -428,17 +429,15 @@ class CorrelationSet:
         if not np.all((self.rho_eve >= 0.0) & (self.rho_eve <= 1.0)):
             raise ValueError("rho_eve must lie in [0, 1]")
 
-    def with_eve(self, beta_ae, beta_re, rho_eve):
-        """This set with another eavesdropper: a shallow copy with the three
-        per-antenna arrays replaced and nothing checked again, so the
-        decompositions and R_ris o R_ris carry over.
-        ``rho_eve`` must lie in [0, 1].  The antenna is each array's first
-        axis; the key rate lets further axes carry a stack of draws (see
-        ``kgr_core``)."""
+    def with_values(self, **values):
+        """This set with the named attributes replaced (its powers, or an
+        eavesdropper: ``beta_ae``, ``beta_re`` and ``rho_eve`` in [0, 1],
+        each with the antenna first; the key rate lets further axes carry a
+        stack of draws, see ``kgr_core``).  A shallow copy, checked no
+        further: the arrays built at construction carry over."""
         # the shallow copy copy.copy makes, at a third of its cost
         out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, beta_ae=beta_ae, beta_re=beta_re,
-                            rho_eve=rho_eve)
+        out.__dict__.update(self.__dict__, **values)
         return out
 
     @property
@@ -475,48 +474,51 @@ def draw_eve_positions(config, rng):
     return pos
 
 
-# a run asks for a point's set only while it visits that point, so it
-# builds each point once at any sweep length; the other entries serve
-# callers outside a run
 @lru_cache(maxsize=64)
-def point_statistics(config):
-    """What every draw of a sweep point shares, and all a design may read of
-    it: a read-only CorrelationSet with the arrays' statistics, the fixed
-    links' gains and the powers, but no eavesdropper (K = 0).  It is built
-    once per config, keyed on the config itself (an immutable value,
-    checked when it was built): both matrices, their decompositions and
-    R_ris o R_ris are read-only.  A fixed link's gain that overflows
-    raises ConfigError."""
-    alice = np.asarray(config.alice_pos)
-    bob = np.asarray(config.bob_pos)
-    ris = np.asarray(config.ris_pos)
-    corr = CorrelationSet(
-        bs_corr=_frozen(bs_correlation(config.bs_shape, config.bs_corr)),
-        ris_corr=_frozen(ris_correlation(
-            config.ris_shape,
-            config.ris_spacing_wavelengths * config.wavelength_m,
-            config.wavelength_m,
-        )),
-        beta_ab=float(path_loss_gain(np.linalg.norm(alice - bob),
-                                     config.pl_exp_alice_bob, config.ref_gain)),
-        beta_ar=float(path_loss_gain(np.linalg.norm(alice - ris),
-                                     config.pl_exp_alice_ris, config.ref_gain)),
-        beta_rb=float(path_loss_gain(np.linalg.norm(ris - bob),
-                                     config.pl_exp_ris_bob, config.ref_gain)),
-        beta_ae=(), beta_re=(), rho_eve=(),
-        power_alice=config.power_alice_w,
-        power_bob=config.power_bob_w,
-        noise_power=config.noise_power_w,
-    )
-    if not _finite((corr.beta_ab, corr.beta_ar, corr.beta_rb)):
+def _fixed_statistics(bs_shape, bs_corr, ris_shape, spacing_m, wavelength_m,
+                      alice_pos, bob_pos, ris_pos, exponents, ref_gain):
+    """One geometry's read-only CorrelationSet, cached on exactly the values
+    it reads (``exponents``: Alice-Bob, Alice-surface, surface-Bob): no
+    powers (None, so a read before they are set fails) and no eavesdropper.
+    A fixed link's gain that overflows raises ConfigError."""
+    alice, bob, ris = map(np.asarray, (alice_pos, bob_pos, ris_pos))
+    beta_ab, beta_ar, beta_rb = (
+        float(path_loss_gain(np.linalg.norm(a - b), exponent, ref_gain))
+        for (a, b), exponent in zip(((alice, bob), (alice, ris), (ris, bob)),
+                                    exponents))
+    if not _finite((beta_ab, beta_ar, beta_rb)):
         raise ConfigError("a fixed link's path gain overflows: check the "
                           "pl_exp_* exponents and ref_gain")
-    return corr
+    return CorrelationSet(
+        bs_corr=_frozen(bs_correlation(bs_shape, bs_corr)),
+        ris_corr=_frozen(ris_correlation(ris_shape, spacing_m, wavelength_m)),
+        beta_ab=beta_ab, beta_ar=beta_ar, beta_rb=beta_rb,
+        beta_ae=(), beta_re=(), rho_eve=(),
+        power_alice=None, power_bob=None, noise_power=None)
+
+
+def point_statistics(config):
+    """What every draw of a sweep point shares, and all a design may read of
+    it: the geometry's cached set (``_fixed_statistics``) with the config's
+    powers set on a shallow copy, and no eavesdropper (K = 0).  Configs that
+    differ only in power, trials, seed, methods or sweeps share its
+    read-only arrays, so a power sweep builds and decomposes each matrix
+    once.  A fixed link's gain that overflows raises ConfigError."""
+    return _fixed_statistics(
+        config.bs_shape, config.bs_corr, config.ris_shape,
+        config.ris_spacing_wavelengths * config.wavelength_m,
+        config.wavelength_m, config.alice_pos, config.bob_pos,
+        config.ris_pos, (config.pl_exp_alice_bob, config.pl_exp_alice_ris,
+                         config.pl_exp_ris_bob), config.ref_gain,
+    ).with_values(power_alice=config.power_alice_w,
+                  power_bob=config.power_bob_w,
+                  noise_power=config.noise_power_w)
 
 
 def build_correlations(config, rng):
     """Assemble a CorrelationSet for one Monte-Carlo trial: the point's
-    ``point_statistics`` with an eavesdropper added.
+    ``point_statistics`` with an eavesdropper added by ``with_values``, so
+    every trial shares the geometry's read-only arrays.
 
     The only randomness is Eve's placement.  The positions of Alice, the
     surface and Bob, and the path-loss exponents of Eve's two links, are
@@ -536,7 +538,7 @@ def build_correlations(config, rng):
         raise ConfigError("an eavesdropper's path gain overflows: check the "
                           "pl_exp_* exponents and ref_gain")
     beta_ae, beta_re = gains
-    return shared.with_eve(
+    return shared.with_values(
         beta_ae=beta_ae, beta_re=beta_re,
         rho_eve=eve_cross_correlation(dist[2], config.wavelength_m))
 

@@ -326,9 +326,10 @@ def _rates(sval, draws, designs):
     per-antenna arrays, shaped (antenna, draw, 1) to broadcast against
     the (draw, method) design stacks; the draws share everything else.  A
     rate that is not finite raises ConfigError."""
-    stacked = draws[0].with_eve(*(
-        np.stack([getattr(corr, name) for corr in draws], axis=1)[..., None]
-        for name in ("beta_ae", "beta_re", "rho_eve")))
+    stacked = draws[0].with_values(**{
+        name: np.stack([getattr(corr, name) for corr in draws],
+                       axis=1)[..., None]
+        for name in ("beta_ae", "beta_re", "rho_eve")})
     with np.errstate(all="ignore"):
         rates = min_kgr_bits(stacked,
                              np.stack([w for w, _, _ in designs], axis=1),
@@ -344,9 +345,10 @@ def _run_sweep(cfg, experiment):
     """The one sweep driver: an experiment's rows and timing rows.
 
     Every point's config is built, and so checked, first.  Then one pass
-    visits each point once, so a run decomposes its matrices once at any
-    sweep length: its statistics (``point_statistics``), its designs and
-    every trial's draw, and for a key-rate point the ``_rates`` call that
+    visits each point once: its statistics (``point_statistics``, whose
+    arrays the points of one geometry share, so a run decomposes each
+    geometry's matrices once at any sweep length), its designs and every
+    trial's draw, and for a key-rate point the ``_rates`` call that
     evaluates them all.  A probing sweep then probes each trial's points
     in one ``_probe_records`` call, on their statistics and from the
     trial's stream ``[seed, trial, 1]``; its 2 x points x methods x

@@ -218,9 +218,14 @@ def _sinc_loop(shape, spacing, lam):
 ])
 def test_memoized_correlations_match_fresh_ones(field, value):
     # configs A, B, A: a memo keyed on too little would hand B's matrices,
-    # gains or powers to A or A's to B
+    # gains or powers to A or A's to B; one keyed on too much would build
+    # a power's arrays again
     cfg_a = cm.ScenarioConfig(eve_count=2)
     cfg_b = replace(cfg_a, **{field: value})
+    stats_a, stats_b = map(cm.point_statistics, (cfg_a, cfg_b))
+    shared = field == "power_alice_w"
+    assert (stats_a.ris_had is stats_b.ris_had) == shared
+    assert (stats_a.ris_eigh is stats_b.ris_eigh) == shared
     for cfg in (cfg_a, cfg_b, cfg_a):
         corr = cm.build_correlations(cfg, np.random.default_rng(0))
         rho = cfg.bs_corr
@@ -241,9 +246,9 @@ def test_memoized_correlations_match_fresh_ones(field, value):
 
 
 def test_memo_hit_still_rejects_an_invalid_config():
-    # the memo is keyed on the config, which is checked when built and
-    # cannot change afterwards, so no invalid config reaches it, even one
-    # with the geometry of a config already memoized
+    # the memo is keyed on values read from a config, which is checked
+    # when built and cannot change afterwards, so no invalid config
+    # reaches it, even one with the geometry of a config already memoized
     cfg = cm.ScenarioConfig(eve_count=2)
     cm.build_correlations(cfg, np.random.default_rng(0))
     for field, value in (("trials", 0), ("seed", -1), ("bs_corr", 1.0),

@@ -393,9 +393,10 @@ def test_no_experiment_runs_an_iterative_solver(tmp_path, monkeypatch):
 
 
 def test_sweep_decomposes_each_correlation_matrix_once(tmp_path, monkeypatch):
-    # R_bs and R_ris are fixed by a sweep point's config: its trials share
-    # one eigendecomposition of each, however many there are, whether the
-    # sweep changes the geometry (kgr_vs_n) or only the power
+    # R_bs and R_ris are fixed by a sweep point's geometry: its trials, and
+    # the points that differ only in power, share one eigendecomposition
+    # of each, so kgr_vs_n decomposes once per surface shape and
+    # kgr_vs_power once in all
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -406,19 +407,19 @@ def test_sweep_decomposes_each_correlation_matrix_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     cfg = _tiny_cfg(trials=10, sweep_power_dbm=(10.0, 20.0, 30.0))
-    for experiment in ("kgr_vs_n", "kgr_vs_power"):
-        cm.point_statistics.cache_clear()
+    assert len(cfg.sweep_ris_shapes) == 2
+    for experiment, geometries in (("kgr_vs_n", 2), ("kgr_vs_power", 1)):
+        cm._fixed_statistics.cache_clear()
         calls.clear()
         hn.run_experiment(experiment, cfg, str(tmp_path / experiment))
-        points = list(hn._sweep_configs(cfg, experiment))
-        assert len(calls) == 2 * len(points), experiment
+        assert len(calls) == 2 * geometries, experiment
 
 
-def test_a_long_probing_sweep_decomposes_each_point_once(tmp_path,
-                                                        monkeypatch):
-    # a run visits each point once, so a sweep longer than the statistics
-    # cache (64 configs) still decomposes each point's matrices once, on a
-    # probing sweep as on a key-rate one
+def test_a_long_probing_sweep_decomposes_each_geometry_once(tmp_path,
+                                                           monkeypatch):
+    # the statistics cache is keyed on the geometry, not the power, so a
+    # power sweep longer than the cache (64 entries) still decomposes its
+    # one geometry's matrices once, on a probing sweep as on a key-rate one
     calls = []
     real = np.linalg.eigh
 
@@ -431,10 +432,10 @@ def test_a_long_probing_sweep_decomposes_each_point_once(tmp_path,
     cfg = _tiny_cfg(trials=3, probe_rounds=50, methods=("no_ris",),
                     sweep_power_dbm=powers)
     for experiment in ("bdr_vs_power", "kgr_vs_power"):
-        cm.point_statistics.cache_clear()
+        cm._fixed_statistics.cache_clear()
         calls.clear()
         hn.run_experiment(experiment, cfg, str(tmp_path / experiment))
-        assert len(calls) == 2 * len(powers), experiment
+        assert len(calls) == 2, experiment
 
 
 def test_batched_rates_equal_per_call_rates(tmp_path):
