@@ -563,19 +563,23 @@ _ProbePoint = namedtuple("_ProbePoint", "lam w_sq sig2 pb beta_rb direct x_d "
                          "eve_cascade eve_direct fresh_u fresh_0")
 
 
-def _probe_point(corr, w, v):
+def _probe_point(corr, w, v, spectra):
     """What one design's observations need besides the shared draws (see
     ``simulate_probing``): the cascade weights lambda, the legitimate
-    scalars and Eve's per-antenna weights.  ValueError if ``w`` is zero."""
+    scalars and Eve's per-antenna weights.  ValueError if ``w`` is zero.
+    ``spectra`` caches L's squared singular values by (surface, v)."""
     w_sq = np.vdot(w, w).real
     if not w_sq:
         raise ValueError("w must be nonzero")
     # the combiner gain m_w and the cascade factor L' (see simulate_probing)
     m_w = np.vdot(w, corr.bs_corr @ w).real
-    vals, vecs = corr.ris_eigh
-    half = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    lam = (corr.beta_ar * m_w
-           * np.linalg.svd((half.T * v) @ half, compute_uv=False) ** 2)
+    key = id(corr.ris_eigh), v.tobytes()
+    if key not in spectra:
+        vals, vecs = corr.ris_eigh
+        half = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        spectra[key] = np.linalg.svd((half.T * v) @ half,
+                                     compute_uv=False) ** 2
+    lam = corr.beta_ar * m_w * spectra[key]
     direct = np.sqrt(m_w)
     # Eve's weights on ||u|| s_b and D d, and her fresh variance as
     # fresh_u ||u||^2 + fresh_0
@@ -626,10 +630,10 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
       u^T x_k = ||u|| (rho_k s_b + sqrt(1 - rho_k^2) s_k) with s_b, s_k
       independent CN(0, 1) scalars.
     * ||u||^2 = beta_ar m_w sum_i lambda_i E_i with lambda the eigenvalues
-      of L^H L (computed once per call and point) and E_i ~ Exp(1): N real
-      draws per round instead of an M x N complex matrix.  Each point's
-      ||u||^2 is one product E @ lambda_p.  No root of R_ris is formed:
-      with R_ris = V diag(e) V^T from ``ris_eigh`` and
+      of L^H L (once per distinct surface design in a call) and
+      E_i ~ Exp(1): N real draws per round instead of an M x N complex
+      matrix.  Each point's ||u||^2 is one product E @ lambda_p.  No root
+      of R_ris is formed: with R_ris = V diag(e) V^T from ``ris_eigh`` and
       half = V diag(sqrt(e)), L' = half^T diag(v) half = V^T L V has L's
       singular values, V being orthogonal.
     * Direct path h_ab^T w = sqrt(beta_ab) D d with D = sqrt(m_w) and
@@ -683,7 +687,8 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
     if len({(c.n_ris, c.n_eve) for c in corrs}) > 1:
         raise ValueError("the points must share N and K: they share the "
                          "draws")
-    points = [_probe_point(*args) for args in zip(corrs, ws, vs)]
+    spectra = {}
+    points = [_probe_point(*args, spectra) for args in zip(corrs, ws, vs)]
     n_eve = corrs[0].n_eve
     exp_rng, leg_rng, eve_rng = rng.spawn(3)
 

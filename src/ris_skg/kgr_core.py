@@ -12,9 +12,10 @@ A design enters the rate only through three scalars (``design_gains``),
 so one call can rate a stack of designs: ``w`` and ``v`` may carry
 leading axes that index designs, and the correlation set's per-antenna
 arrays (antenna first) may carry further axes that broadcast against
-them.  The three scalars are stacked products, one ``matmul`` each over
-the whole stack, and every step after them is elementwise, so a design's
-rate in a stack is bit-identical to its rate alone.
+them.  The three scalars are stacked products over C-contiguous rows
+(q_v's once per run of equal v rows on the first axis), and every step
+after them is elementwise, so a design's rate in a stack is
+bit-identical to its rate alone, whatever else shares the call.
 """
 
 from __future__ import annotations
@@ -47,19 +48,28 @@ def design_gains(corr, w, v):
     ``w`` is (..., M) and ``v`` (..., N) with the same leading shape; each
     scalar comes back with that shape (a NumPy scalar for one design).
     Each is one stacked product of shape (D,1,M) @ (M,M) @ (D,M,1) over
-    the D designs, which gives each design the bits its own product gives.
-    The real matrices are cast to complex once here, not by NumPy inside
-    every product; the products are the same.
+    C-contiguous copies of the D designs, whatever the stack's strides,
+    which gives each design the bits its own product gives.  The real
+    matrices are cast to complex once here, not by NumPy inside every
+    product; the products are the same.
     """
     w = np.asarray(w, dtype=complex)
     v = np.asarray(v, dtype=complex)
     lead = w.shape[:-1]
-    w = w.reshape(-1, 1, w.shape[-1])
-    v = v.reshape(-1, 1, v.shape[-1])
+    w = np.ascontiguousarray(w.reshape(-1, 1, w.shape[-1]))
+    v = np.ascontiguousarray(v.reshape(-1, v.shape[-1]))
     m_w = w @ corr.bs_corr.astype(complex) @ np.conj(w).swapaxes(1, 2)
-    q_v = np.conj(v) @ corr.ris_had.astype(complex) @ v.swapaxes(1, 2)
+    # a v row byte-equal to the one above it on the first axis shares its q_v
+    src = np.arange(len(v)).reshape(lead or 1)
+    bits = v.view(np.uint64).reshape(*src.shape, 2 * v.shape[1])
+    src[1:][(bits[1:] == bits[:-1]).all(-1)] = 0
+    src = np.maximum.accumulate(src).ravel()
+    new = src == np.arange(len(v))
+    u = v[new, None]
+    q_v = np.conj(u) @ corr.ris_had.astype(complex) @ u.swapaxes(1, 2)
     wsq = np.conj(w) @ w.swapaxes(1, 2)
-    return tuple(np.real(x).reshape(lead)[()] for x in (m_w, q_v, wsq))
+    return tuple(np.real(x).reshape(lead)[()]
+                 for x in (m_w, q_v[np.cumsum(new)[src] - 1], wsq))
 
 
 def effective_gains(corr, w, v):

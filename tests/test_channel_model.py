@@ -634,9 +634,10 @@ def test_simulate_probing_matches_channel_draws_in_law():
 
 def _power_points(corr, w, scales):
     """The set and combiner of ``corr`` and ``w`` at each power scale:
-    both ends' powers times the scale, and w times its square root."""
-    return ([replace(corr, power_alice=c * corr.power_alice,
-                     power_bob=c * corr.power_bob) for c in scales],
+    both ends' powers times the scale, and w times its square root.  The
+    sets share ``corr``'s arrays, as a power sweep's points do."""
+    return ([corr.with_values(power_alice=c * corr.power_alice,
+                              power_bob=c * corr.power_bob) for c in scales],
             np.stack([np.sqrt(c) * w for c in scales]))
 
 
@@ -644,15 +645,17 @@ def _power_points(corr, w, scales):
 def test_stacked_probe_equals_its_single_design_probes(eve, monkeypatch):
     # point p of a stacked call is the call on its own design and set, bit
     # for bit, whatever the block; the third point has the surface off, so
-    # it reads none of the exponentials the others share
+    # it reads none of the exponentials the others share, and the last two
+    # repeat the first two's phases at other powers, so they share their
+    # surface spectra
     rng = np.random.default_rng(37)
     corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
     w = oracles.random_combiner(rng, corr)
-    corrs, ws = _power_points(corr, w, (1.0, 10.0, 0.1))
+    corrs, ws = _power_points(corr, w, (1.0, 10.0, 0.1, 3.0, 0.3))
     vs = np.stack([oracles.random_reflect(rng, corr),
                    oracles.random_reflect(rng, corr),
-                   np.zeros(corr.n_ris, dtype=complex)])
-    for points in (2, 3):
+                   np.zeros(corr.n_ris, dtype=complex)])[[0, 1, 2, 0, 1]]
+    for points in (2, 3, 5):
         for block in (64, 7, 300, 1000):
             monkeypatch.setattr(cm, "_PROBE_BLOCK", block)
             got = cm.simulate_probing(corrs[:points], ws[:points],
@@ -672,11 +675,12 @@ def test_stacked_probe_equals_its_single_design_probes(eve, monkeypatch):
                     assert got[2] is None and alone[2] is None
 
 
-def _paper_trial_stack():
+def _paper_trial_stack(text=None):
     """The 21 (power, method) designs of one paper-preset ``bdr_vs_power``
-    trial (N = 20, K = 10, ``no_ris`` among the methods), each on its
-    power's draw, as the harness stacks them for one probe."""
-    cfg = build_config("paper", trials=1)
+    trial (N = 20, K = 10, ``no_ris`` among the methods), or those of the
+    preset with ``text`` layered on it, each on its power's draw, as the
+    harness stacks them for one probe."""
+    cfg = build_config("paper", text, trials=1)
     corrs, ws, vs = [], [], []
     for si, (_, sub) in enumerate(hn._sweep_configs(cfg, "bdr_vs_power")):
         draw = hn._draw(sub, 0)
@@ -713,6 +717,26 @@ def test_stacked_probe_equals_its_single_design_probes_at_paper_size(eve):
             assert np.array_equal(got[2][p], alone[2]), p
         else:
             assert got[2] is None and alone[2] is None
+
+
+def test_stacked_probe_decomposes_each_distinct_surface_design_once(
+        monkeypatch):
+    # one SVD per distinct (surface decomposition, v) in a call: the points
+    # of a power sweep share one decomposition, and optimized and no_ris
+    # carry one v at every power, so only iid_ris adds one per power
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: calls.append(1) or svd(*args,
+                                                                   **kw))
+    for text, designs, distinct in ((None, 21, 9),
+                                    ("sweep_power_dbm = 10, 25, 40", 9, 5)):
+        corrs, ws, vs = _paper_trial_stack(text)
+        assert len(corrs) == designs
+        calls.clear()
+        cm.simulate_probing(corrs, ws, vs, np.random.default_rng(5), 100,
+                            eve=False)
+        assert len(calls) == distinct, text
 
 
 @pytest.mark.parametrize("blocks", [3, 12])

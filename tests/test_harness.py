@@ -531,6 +531,27 @@ def test_a_method_rows_do_not_depend_on_the_other_methods(tmp_path):
             assert alone[method] == together[method], (experiment, method)
 
 
+def test_stacked_rates_equal_each_design_rated_alone():
+    # at the paper preset (M = 15, where a stack's layout changed a
+    # combiner gain by an ulp), every rate of a point's one ``_rates``
+    # call has the bits of its design rated alone on its draw, so a
+    # method's rates are the same bits whichever methods run beside it
+    cfg = hn.build_config("paper", f"methods = {', '.join(hn.DESIGN_METHODS)}",
+                          trials=20)
+    for si, (sval, sub) in enumerate(hn._sweep_configs(cfg, "kgr_vs_n")):
+        draws = [hn._draw(sub, trial) for trial in range(sub.trials)]
+        designs = hn._designs(sub, si)
+        rates = hn._rates(sval, draws, designs)[..., 0]
+        for m, (w, v, _) in enumerate(designs):
+            alone = [min_kgr_bits(draw, w[t], v[t])
+                     for t, draw in enumerate(draws)]
+            assert rates[:, m].tobytes() == np.array(alone).tobytes(), m
+            rest = designs[:m] + designs[m + 1:]
+            for beside in ([], rest[:1], rest[::-1]):
+                got = hn._rates(sval, draws, [designs[m], *beside])
+                assert got[:, 0, 0].tobytes() == rates[:, m].tobytes(), m
+
+
 def test_a_probed_row_does_not_depend_on_the_other_powers(tmp_path):
     # a trial's probes share their draws across the sweep, and each point
     # keeps its own law: the 20 dBm rows of the deterministic designs are

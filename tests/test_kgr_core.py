@@ -103,6 +103,51 @@ def test_stacked_design_gains_equal_the_loop(preset):
             alone = kc.design_gains(corr, w[2, 3], v[2, 3])
             assert all(np.ndim(x) == 0 for x in alone)
             assert alone == tuple(x[2, 3] for x in stacked), (bs, ris)
+    # a (trial, method) stack laid out as harness._rates builds it, the
+    # preset methods' read-only rows stacked along axis 1 (not
+    # C-contiguous), gives each design the bits it gets alone
+    sub = replace(cfg, trials=20)
+    corr = build_correlations(sub, np.random.default_rng(0))
+    designs = hn._designs(sub, 0)
+    w = np.stack([rows for rows, _, _ in designs], axis=1)
+    v = np.stack([rows for _, rows, _ in designs], axis=1)
+    assert not w.flags.c_contiguous
+    stacked = kc.design_gains(corr, w, v)
+    for t in range(sub.trials):
+        for m in range(len(designs)):
+            alone = kc.design_gains(corr, w[t, m], v[t, m])
+            assert alone == tuple(x[t, m] for x in stacked), (t, m)
+
+
+class _CountingHad(np.ndarray):
+    """R_ris o R_ris that records the rows of every product it enters."""
+
+    rows = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingHad.rows.append(np.shape(inputs[0])[0])
+        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+
+def test_q_v_product_is_made_once_per_run_of_equal_rows():
+    # a row byte-equal to the row one step up the first axis (a method's
+    # row one trial earlier) shares its N x N product: a (trial, method)
+    # stack of 40 rows whose two methods each repeat one v makes 2, and a
+    # 1-D stack makes one per run of equal rows.  Every row keeps the bits
+    # of the per-design loop
+    rng = np.random.default_rng(3)
+    corr = oracles.random_corr(rng, n_bs=3, n_ris=8, n_eve=2)
+    counted = corr.with_values(ris_had=corr.ris_had.view(_CountingHad))
+    a, b = (oracles.random_reflect(rng, corr) for _ in range(2))
+    for v, products in ((np.broadcast_to([a, b], (20, 2, corr.n_ris)), 2),
+                        (np.stack([a, a, b, b, b, a]), 3)):
+        w = oracles.complex_normal(rng, *v.shape[:-1], corr.n_bs)
+        _CountingHad.rows.clear()
+        stacked = kc.design_gains(counted, w, v)
+        assert _CountingHad.rows == [products]
+        assert all(np.array_equal(got, want) for got, want in
+                   zip(stacked, oracles.design_gains_loop(corr, w, v)))
 
 
 def test_empirical_covariance_recovers_known_moments():
