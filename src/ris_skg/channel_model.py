@@ -595,15 +595,14 @@ def _probe_point(corr, w, v, spectra):
         fresh_0=mix_sq * corr.beta_ae * direct ** 2 + corr.noise_power)
 
 
-def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
+def simulate_probing(corr, w, v, rng, rounds):
     """Simulate probing rounds and return the three observation sequences.
 
     Per round the channel and the noises are drawn fresh.  Returns
     (alice, bob, eve) with shapes (rounds,), (rounds,), (rounds, K):
     Alice's combined uplink estimate, Bob's downlink estimate, and Eve's
-    downlink estimates.  With ``eve=False`` Eve is not drawn and the third
-    value is None; Alice's and Bob's sequences are the same either way.
-    ``w`` must be nonzero (ValueError otherwise).
+    downlink estimates.  At K = 0 (``point_statistics``) nothing of Eve is
+    drawn.  ``w`` must be nonzero (ValueError otherwise).
 
     ``w`` of shape (P, M) and ``v`` of shape (P, N) stack P designs, one
     per point (as in ``kgr_core``), and ``corr`` is then a sequence of P
@@ -661,7 +660,7 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
 
     The exponentials, the legitimate scalars and Eve's scalars come from
     three streams spawned from ``rng``, each drawn round by round and
-    shared by every point, so the output does not depend on ``eve``.
+    shared by every point, so Alice's and Bob's outputs do not depend on K.
     Every point takes the same path: with its surface off (v = 0) its
     lambda_i are all zero, so its ||u||^2 row is exactly 0.
 
@@ -671,8 +670,8 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
     rounds at a time, whatever ``rounds``: first every ||u||^2, from
     block x N exponentials at a time, each dropped before the next is
     drawn and before the outputs are made; then the outputs, from
-    block x (4 + K) normals at a time.  Without Eve at N = 60 that stays
-    under block x N x 8 bytes (1.97 MB), which
+    block x (4 + K) normals at a time, 2 at K = 0.  At K = 0 and N = 60
+    that stays under block x N x 8 bytes (1.97 MB), which
     ``test_probe_memory_beyond_its_outputs_is_under_one_block`` checks;
     one pass, a block's exponentials drawn beside the outputs, fails that
     bound, so the two passes stay.
@@ -703,13 +702,12 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
     # one allocation, not two: two took page faults afresh on every call
     # (observed with glibc malloc; see the memory test)
     out_a, out_b = np.empty((2, len(points), rounds), dtype=complex)
-    out_e = (np.empty((len(points), rounds, n_eve), dtype=complex) if eve
-             else None)
+    out_e = np.empty((len(points), rounds, n_eve), dtype=complex)
     for start in range(0, rounds, _PROBE_BLOCK):
         sl = slice(start, min(start + _PROBE_BLOCK, rounds))
         b = sl.stop - start
         z_1, z_2 = _cn(leg_rng, b, 2).T
-        z = _cn(eve_rng, b, 2 + n_eve) if eve else None
+        z = _cn(eve_rng, b, 2 + n_eve) if n_eve else None
         for p, pt in enumerate(points):
             u_sq = u_sqs[p, sl]
             sig2, pb, w_sq, x_d = pt.sig2, pt.pb, pt.w_sq, pt.x_d
@@ -720,7 +718,7 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
             alice = out_a[p, sl] = (np.sqrt(pb) * g / root_tot * z_1
                                     + np.sqrt(sig2 * w_sq + pb * g * sig2
                                               / tot) * z_2)
-            if not eve:
+            if not n_eve:
                 continue
             norm_u = np.sqrt(u_sq)
             x_b = np.sqrt(pt.beta_rb) * norm_u
@@ -738,5 +736,5 @@ def simulate_probing(corr, w, v, rng, rounds, *, eve=True):
             e += cascade[:, None] * pt.eve_cascade
             e += direct_d[:, None] * pt.eve_direct
     if single:
-        return out_a[0], out_b[0], None if out_e is None else out_e[0]
+        return out_a[0], out_b[0], out_e[0]
     return out_a, out_b, out_e

@@ -266,10 +266,10 @@ def _probe_records(corrs, w, v, seeds, rounds):
     record: the bit disagreement rate between the legitimate sequences,
     the randomness p-values and the length of the user's bits.  Every
     design's observations are alive at once: 2 x designs x rounds complex
-    values.  ConfigError if an observation is not finite."""
+    values; ConfigError if one is not finite.  No Eve: its sets have K = 0."""
     with np.errstate(over="ignore", invalid="ignore"):
         obs_a, obs_b, _ = simulate_probing(
-            corrs, w, v, np.random.default_rng(seeds), rounds, eve=False)
+            corrs, w, v, np.random.default_rng(seeds), rounds)
     if not (np.isfinite(obs_a).all() and np.isfinite(obs_b).all()):
         raise ConfigError("probe observations are not finite: a gain or "
                           "power overflows")

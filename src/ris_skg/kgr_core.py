@@ -122,5 +122,7 @@ def kgr_bits(corr, w, v):
 
 def min_kgr_bits(corr, w, v):
     """Worst-case key rate over the eavesdropper's antennas: a float for one
-    design, an array of the stack's shape for a stack."""
+    design, an array of the stack's shape for a stack; ValueError at K = 0."""
+    if not corr.n_eve:
+        raise ValueError("the set has no eavesdropper (K = 0) to rate")
     return np.min(kgr_bits(corr, w, v), axis=0)

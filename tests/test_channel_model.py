@@ -510,7 +510,16 @@ def test_simulate_probing_deterministic_and_chunk_invariant(monkeypatch):
             assert np.array_equal(a, b)
 
 
+def _without_eve(corr):
+    """``corr`` with no eavesdropper (K = 0), as ``point_statistics`` gives:
+    empty per-antenna arrays, not tuples, which have no shape."""
+    return corr.with_values(beta_ae=np.empty(0), beta_re=np.empty(0),
+                            rho_eve=np.empty(0))
+
+
 def test_simulate_probing_without_eve_keeps_alice_and_bob(monkeypatch):
+    # a set and its copy with no antennas (K = 0) give the same Alice and
+    # Bob, and the copy draws nothing for Eve
     rng = np.random.default_rng(34)
     corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
     w = oracles.random_combiner(rng, corr)
@@ -519,11 +528,17 @@ def test_simulate_probing_without_eve_keeps_alice_and_bob(monkeypatch):
     # the legitimate stream
     monkeypatch.setattr(cm, "_PROBE_BLOCK", 64)
     a1, b1, e1 = cm.simulate_probing(corr, w, v, np.random.default_rng(6), 500)
-    a2, b2, e2 = cm.simulate_probing(corr, w, v, np.random.default_rng(6), 500,
-                                     eve=False)
+    calls = []
+    cn = cm._cn
+    monkeypatch.setattr(cm, "_cn",
+                        lambda *args: calls.append(1) or cn(*args))
+    a2, b2, e2 = cm.simulate_probing(_without_eve(corr), w, v,
+                                     np.random.default_rng(6), 500)
     assert e1.shape == (500, 2)
-    assert e2 is None
-    assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+    assert e2.shape == (500, 0)
+    assert a1.tobytes() == a2.tobytes() and b1.tobytes() == b2.tobytes()
+    # the legitimate pair's draw alone: Eve's stream is not touched
+    assert len(calls) == -(-500 // 64)
 
 
 def test_simulate_probing_with_the_surface_off_is_the_direct_link_alone(
@@ -641,16 +656,18 @@ def _power_points(corr, w, scales):
             np.stack([np.sqrt(c) * w for c in scales]))
 
 
-@pytest.mark.parametrize("eve", [False, True])
-def test_stacked_probe_equals_its_single_design_probes(eve, monkeypatch):
+@pytest.mark.parametrize("antennas", [False, True])
+def test_stacked_probe_equals_its_single_design_probes(antennas, monkeypatch):
     # point p of a stacked call is the call on its own design and set, bit
-    # for bit, whatever the block; the third point has the surface off, so
-    # it reads none of the exponentials the others share, and the last two
-    # repeat the first two's phases at other powers, so they share their
-    # surface spectra
+    # for bit, whatever the block, with and without antennas; the third
+    # point has the surface off, so it reads none of the exponentials the
+    # others share, and the last two repeat the first two's phases at other
+    # powers, so they share their surface spectra
     rng = np.random.default_rng(37)
     corr = oracles.random_corr(rng, n_bs=2, n_ris=3, n_eve=2)
     w = oracles.random_combiner(rng, corr)
+    if not antennas:
+        corr = _without_eve(corr)
     corrs, ws = _power_points(corr, w, (1.0, 10.0, 0.1, 3.0, 0.3))
     vs = np.stack([oracles.random_reflect(rng, corr),
                    oracles.random_reflect(rng, corr),
@@ -660,63 +677,57 @@ def test_stacked_probe_equals_its_single_design_probes(eve, monkeypatch):
             monkeypatch.setattr(cm, "_PROBE_BLOCK", block)
             got = cm.simulate_probing(corrs[:points], ws[:points],
                                       vs[:points], np.random.default_rng(5),
-                                      300, eve=eve)
+                                      300)
             assert got[0].shape == got[1].shape == (points, 300)
+            assert got[2].shape == (points, 300, corr.n_eve)
             for p in range(points):
                 alone = cm.simulate_probing(corrs[p], ws[p], vs[p],
-                                            np.random.default_rng(5), 300,
-                                            eve=eve)
-                assert np.array_equal(got[0][p], alone[0])
-                assert np.array_equal(got[1][p], alone[1])
-                if eve:
-                    assert got[2].shape == (points, 300, corr.n_eve)
-                    assert np.array_equal(got[2][p], alone[2])
-                else:
-                    assert got[2] is None and alone[2] is None
+                                            np.random.default_rng(5), 300)
+                for x, y in zip(got, alone):
+                    assert np.array_equal(x[p], y)
 
 
-def _paper_trial_stack(text=None):
+def _paper_trial_stack(text=None, antennas=True):
     """The 21 (power, method) designs of one paper-preset ``bdr_vs_power``
     trial (N = 20, K = 10, ``no_ris`` among the methods), or those of the
-    preset with ``text`` layered on it, each on its power's draw, as the
-    harness stacks them for one probe."""
+    preset with ``text`` layered on it, as the harness stacks them for one
+    probe: each on its power's draw, or without ``antennas`` on its power's
+    statistics (K = 0), which the harness probes."""
     cfg = build_config("paper", text, trials=1)
     corrs, ws, vs = [], [], []
     for si, (_, sub) in enumerate(hn._sweep_configs(cfg, "bdr_vs_power")):
-        draw = hn._draw(sub, 0)
+        corr = hn._draw(sub, 0) if antennas else cm.point_statistics(sub)
         for w, v, _ in hn._designs(sub, si):
-            corrs.append(draw)
+            corrs.append(corr)
             ws.append(w[0])
             vs.append(v[0])
     return corrs, np.stack(ws), np.stack(vs)
 
 
-@pytest.mark.parametrize("eve", [False, True])
-def test_stacked_probe_equals_its_single_design_probes_at_paper_size(eve):
+@pytest.mark.parametrize("antennas", [False, True])
+def test_stacked_probe_equals_its_single_design_probes_at_paper_size(
+        antennas):
     # at N = 20 the product E @ lambda can give a round other bits in a
     # block of another length, so the block lengths here (two full, one
     # of 3 rounds: 8195 in all) are checked at the size the experiments
-    # run; a second call gives the same bytes
-    corrs, ws, vs = _paper_trial_stack()
-    assert len(corrs) == 21 and corrs[0].n_ris == 20 and corrs[0].n_eve == 10
+    # run, with and without antennas; a second call gives the same bytes
+    corrs, ws, vs = _paper_trial_stack(antennas=antennas)
+    assert len(corrs) == 21 and corrs[0].n_ris == 20
+    assert corrs[0].n_eve == (10 if antennas else 0)
     assert np.count_nonzero(~vs.any(axis=1)) == 7      # no_ris at each power
     rounds = 2 * cm._PROBE_BLOCK + 3
     got = cm.simulate_probing(corrs, ws, vs, np.random.default_rng(5),
-                              rounds, eve=eve)
+                              rounds)
     again = cm.simulate_probing(corrs, ws, vs, np.random.default_rng(5),
-                                rounds, eve=eve)
+                                rounds)
+    assert got[2].shape == (21, rounds, corrs[0].n_eve)
     for a, b in zip(got, again):
-        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        assert a.tobytes() == b.tobytes()
     for p in range(len(corrs)):
         alone = cm.simulate_probing(corrs[p], ws[p], vs[p],
-                                    np.random.default_rng(5), rounds,
-                                    eve=eve)
-        assert np.array_equal(got[0][p], alone[0]), p
-        assert np.array_equal(got[1][p], alone[1]), p
-        if eve:
-            assert np.array_equal(got[2][p], alone[2]), p
-        else:
-            assert got[2] is None and alone[2] is None
+                                    np.random.default_rng(5), rounds)
+        for x, y in zip(got, alone):
+            assert np.array_equal(x[p], y), p
 
 
 def test_stacked_probe_decomposes_each_distinct_surface_design_once(
@@ -731,11 +742,10 @@ def test_stacked_probe_decomposes_each_distinct_surface_design_once(
                                                                    **kw))
     for text, designs, distinct in ((None, 21, 9),
                                     ("sweep_power_dbm = 10, 25, 40", 9, 5)):
-        corrs, ws, vs = _paper_trial_stack(text)
+        corrs, ws, vs = _paper_trial_stack(text, antennas=False)
         assert len(corrs) == designs
         calls.clear()
-        cm.simulate_probing(corrs, ws, vs, np.random.default_rng(5), 100,
-                            eve=False)
+        cm.simulate_probing(corrs, ws, vs, np.random.default_rng(5), 100)
         assert len(calls) == distinct, text
 
 
@@ -745,7 +755,7 @@ def test_probe_memory_beyond_its_outputs_is_under_one_block(blocks):
     # surface off.  Past the outputs and the ||u||^2 rows, the call holds
     # one block of exponentials at most, whatever the number of rounds
     cfg = build_config("paper", "ris_shape = 5x12", trials=1)
-    corr = cm.build_correlations(cfg, np.random.default_rng(0))
+    corr = cm.point_statistics(cfg)
     designs = hn._designs(cfg, 0)
     ws = np.stack([w[0] for w, _, _ in designs])
     vs = np.stack([v[0] for _, v, _ in designs])
@@ -753,8 +763,7 @@ def test_probe_memory_beyond_its_outputs_is_under_one_block(blocks):
     tracemalloc.start()
     try:
         alice, bob, _ = cm.simulate_probing(
-            [corr] * len(designs), ws, vs, np.random.default_rng(1), rounds,
-            eve=False)
+            [corr] * len(designs), ws, vs, np.random.default_rng(1), rounds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

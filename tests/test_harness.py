@@ -604,14 +604,16 @@ def test_every_design_receives_no_eavesdropper(tmp_path, monkeypatch):
 
 
 def test_the_probe_receives_no_eavesdropper(tmp_path, monkeypatch):
-    # the probe draws no eavesdropper (eve=False), so it is given the
-    # points' statistics, which hold none: every set it receives has K = 0
+    # the probe is given the points' statistics, which hold no
+    # eavesdropper: every set it receives has K = 0, and no keyword
+    # argument says anything else
     seen = []
     real = hn.simulate_probing
 
     def recorded(corrs, *args, **kwargs):
+        assert not kwargs
         seen.extend(corr.n_eve for corr in corrs)
-        return real(corrs, *args, **kwargs)
+        return real(corrs, *args)
 
     monkeypatch.setattr(hn, "simulate_probing", recorded)
     cfg = _tiny_cfg(trials=2, methods=tuple(hn.DESIGN_METHODS))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ris_skg import harness as hn
 from ris_skg import kgr_core as kc
-from ris_skg.channel_model import build_correlations
+from ris_skg.baselines import DESIGN_METHODS
+from ris_skg.channel_model import build_correlations, point_statistics
 
 import oracles
 
@@ -78,6 +79,18 @@ def test_rate_nonnegative_and_min_selects_worst():
         assert rates.shape == (4,)
         assert np.all(rates >= -1e-12)
         assert kc.min_kgr_bits(corr, w, v) == pytest.approx(np.min(rates))
+
+
+def test_min_rate_of_a_set_without_eavesdropper_is_an_error():
+    # a point's statistics hold no antennas (K = 0), so there is no worst
+    # antenna to rate against: a ValueError that says so, not NumPy's
+    # empty-reduction message
+    stats = point_statistics(hn.build_config("paper"))
+    w, v = DESIGN_METHODS["statistical"](stats, [0], 1)
+    with pytest.raises(ValueError, match="no eavesdropper"):
+        kc.min_kgr_bits(stats, w[0], v[0])
+    with pytest.raises(ValueError, match="no eavesdropper"):
+        kc.min_kgr_bits(stats, w, v)
 
 
 @pytest.mark.parametrize("preset", ["paper", "desk"])
